@@ -3,8 +3,10 @@
 Every element instance whose declared type maps to a class becomes an
 individual of that class; parent-child pairs become object-property
 assertions resolved through the mapping trace, simple-typed children,
-attributes and mixed text become data assertions. The input document must
-already validate against the schema.
+attributes and mixed text become data assertions. `populate` validates
+the document first and raises DocumentInvalid when it does not conform.
+Types' flattened content and the schema paths that key the mapping
+trace come from the schema's shared resolved view (`SchemaModel.resolved`).
 
 Individual names: the id-attribute strategy uses a sanitized `id`
 attribute value when the element carries one and falls back to the path
@@ -28,14 +30,12 @@ from .owlmodel import (
     OntologyModel,
     sanitize_fragment,
 )
-from .paths import build_path_map
 from .xmldoc import XmlDocument, XmlElement, text_content
 from .xsdmodel import (
-    AttrDecl,
     ComplexType,
     ElementDecl,
+    GroupUse,
     NamedTypeRef,
-    Particle,
     SchemaModel,
     validate,
 )
@@ -50,17 +50,17 @@ class NamingCollision(Exception):
     """Two element instances produced the same individual IRI."""
 
 
-def _is_ns_decl(name) -> bool:
-    return name.prefix == "xmlns" or (name.prefix is None and name.local == "xmlns")
+class DocumentInvalid(ValueError):
+    """The document does not validate against the schema."""
 
 
 class _Populator:
     def __init__(self, schema: SchemaModel, tbox: OntologyModel,
                  trace: MappingTrace, naming: IndividualNaming):
         self.schema = schema
+        self.view = schema.resolved
         self.tbox = tbox
         self.naming = naming
-        self.pm = build_path_map(schema)
         self.resolution = trace.resolution
         self.dt_props = {p.iri: p for p in tbox.datatype_properties}
         self.taken: dict[str, tuple[int, int]] = {}
@@ -74,41 +74,15 @@ class _Populator:
                 return target
         return None
 
-    def class_iri(self, ct: ComplexType) -> Iri:
-        return self.resolution[self.pm.path(ct)]
-
-    def content_of(self, ct: ComplexType):
-        """name -> (particle, via-group name) plus attributes with their
-        attribute-group, walking groups and the extension chain."""
-        particles: dict[str, tuple[Particle, str | None]] = {}
-        attrs: dict[str, tuple[AttrDecl, str | None]] = {}
-        mixed_types: list[ComplexType] = []
-
-        def add(t: ComplexType):
-            if t.mixed:
-                mixed_types.append(t)
-            if t.derivation is not None and t.derivation[0] == "extension":
-                add(self.schema.type_named(t.derivation[1]))
-            for p in t.particles:
-                particles.setdefault(p.name, (p, None))
-            for g in t.group_refs:
-                for p in self.schema.group(g).particles:
-                    particles.setdefault(p.name, (p, g))
-            for a in t.attributes:
-                attrs.setdefault(a.name, (a, None))
-            for ag in t.attr_group_refs:
-                for a in self.schema.attr_group(ag).attributes:
-                    attrs.setdefault(a.name, (a, ag))
-
-        add(ct)
-        return particles, attrs, mixed_types
-
     def allocate(self, instance: XmlElement, path_fragment: str) -> Iri:
         fragment = path_fragment
         if self.naming is IndividualNaming.ID_ATTRIBUTE:
             id_value = instance.attribute("id")
             if id_value is not None:
                 fragment = sanitize_fragment(id_value)
+        return self.claim(instance, fragment)
+
+    def claim(self, instance: XmlElement, fragment: str) -> Iri:
         if fragment in self.taken:
             line, col = self.taken[fragment]
             here = instance.source_position
@@ -128,46 +102,35 @@ class _Populator:
               path_fragment: str) -> tuple[Iri, list[Individual]]:
         ct = self.resolve_complex(decl.type)
         iri = self.allocate(instance, path_fragment)
-        particles, attrs, mixed_types = self.content_of(ct)
+        content = self.view.content(ct)
 
         object_assertions: list[tuple[Iri, Iri]] = []
         data_assertions: list[tuple[Iri, str, str]] = []
         collected: list[Individual] = []
-        # one synthetic member holder per referenced group, created lazily
-        synthetics: dict[tuple[str, str], tuple[Iri, list, list]] = {}
+        # one synthetic member holder per group reference, created lazily
+        synthetics: dict[str, tuple[GroupUse, Iri, list, list]] = {}
 
-        def target_lists(group: str | None, kind: str):
-            if group is None:
+        def target_lists(use: GroupUse | None):
+            if use is None:
                 return object_assertions, data_assertions
-            key = (kind, group)
-            if key not in synthetics:
-                holder = self.schema.group(group) if kind == "group" \
-                    else self.schema.attr_group(group)
-                frag = f"{iri.fragment}.{sanitize_fragment(group)}_1"
-                if frag in self.taken:
-                    line, col = self.taken[frag]
-                    raise NamingCollision(
-                        f"individual IRI fragment {frag!r} produced twice: "
-                        f"at {line}:{col} and {instance.source_position[0]}:"
-                        f"{instance.source_position[1]}"
-                    )
-                self.taken[frag] = instance.source_position
-                synth_iri = Iri(self.tbox.ontology_iri, frag)
-                synthetics[key] = (synth_iri, [], [])
-                tag = "group" if kind == "group" else "attributeGroup"
-                ref_path = f"{self.pm.body_path(ct)}/xs:{tag}[{group}]"
-                object_assertions.append((self.resolution[ref_path], synth_iri))
-            return synthetics[key][1], synthetics[key][2]
+            if use.path not in synthetics:
+                synth_iri = self.claim(
+                    instance, f"{iri.fragment}.{sanitize_fragment(use.decl.name)}_1"
+                )
+                synthetics[use.path] = (use, synth_iri, [], [])
+                object_assertions.append((self.resolution[use.path], synth_iri))
+            _, _, obj, data = synthetics[use.path]
+            return obj, data
 
         ordinals: dict[str, int] = {}
         for child in instance.child_elements():
             name = child.name.local
             ordinals[name] = ordinals.get(name, 0) + 1
-            particle, group = particles[name]
+            particle, use = content.particles[name][0]
             child_decl = self.schema.element(particle.ref) \
                 if particle.ref is not None else particle.decl
-            obj_sink, data_sink = target_lists(group, "group")
-            prop_iri = self.resolution[self.pm.path(particle)]
+            obj_sink, data_sink = target_lists(use)
+            prop_iri = self.resolution[self.view.path(particle)]
             if self.resolve_complex(child_decl.type) is not None:
                 child_fragment = f"{path_fragment}.{name}_{ordinals[name]}"
                 child_iri, sub = self.build(child, child_decl, child_fragment)
@@ -177,37 +140,30 @@ class _Populator:
                 data_sink.append(self.data_assertion(prop_iri, text_content(child)))
 
         for name, value in instance.attributes:
-            if _is_ns_decl(name):
+            if name.is_ns_decl:
                 continue
-            attr, group = attrs[name.local]
-            _, data_sink = target_lists(group, "attr-group")
-            prop_iri = self.resolution[self.pm.path(attr)]
+            attr, use = content.attributes[name.local]
+            _, data_sink = target_lists(use)
+            prop_iri = self.resolution[self.view.path(attr)]
             data_sink.append(self.data_assertion(prop_iri, value))
 
-        for mt in mixed_types:
-            if any(isinstance(c, str) for c in instance.children):
-                prop_iri = self.resolution[f"{self.pm.path(mt)}/text()"]
-                data_assertions.append(
-                    self.data_assertion(prop_iri, text_content(instance))
-                )
-                break
+        if content.mixed_types and any(isinstance(c, str) for c in instance.children):
+            text_path = f"{self.view.path(content.mixed_types[0])}/text()"
+            data_assertions.append(
+                self.data_assertion(self.resolution[text_path], text_content(instance))
+            )
 
-        for (kind, group), (synth_iri, obj, data) in synthetics.items():
-            holder = self.schema.group(group) if kind == "group" \
-                else self.schema.attr_group(group)
+        for use, synth_iri, obj, data in synthetics.values():
             collected.append(Individual(
-                synth_iri, self.class_iri_of_group(holder),
+                synth_iri, self.resolution[self.view.path(use.decl)],
                 tuple(obj), tuple(data),
             ))
 
         me = Individual(
-            iri, self.class_iri(ct),
+            iri, self.resolution[self.view.path(ct)],
             tuple(object_assertions), tuple(data_assertions),
         )
         return iri, [me] + collected
-
-    def class_iri_of_group(self, holder) -> Iri:
-        return self.resolution[self.pm.path(holder)]
 
 
 def populate(
@@ -217,11 +173,12 @@ def populate(
     trace: MappingTrace,
     naming: IndividualNaming = IndividualNaming.ID_ATTRIBUTE,
 ) -> OntologyModel:
-    """TBox plus the individuals read off one validated document."""
+    """TBox plus the individuals read off one document; raises
+    DocumentInvalid when the document does not validate."""
     report = validate(doc, schema)
     if not report.ok:
         problems = "; ".join(str(v) for v in report.violations[:3])
-        raise ValueError(
+        raise DocumentInvalid(
             f"document {doc.source_id!r} does not validate against the schema: "
             f"{problems}"
         )

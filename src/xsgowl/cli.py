@@ -17,12 +17,12 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .abox import NamingCollision, populate
+from .abox import DocumentInvalid, NamingCollision, populate
 from .infer import InferenceConflict, RootMismatch, infer_schema
 from .owlgen import GenOptions, generate_tbox, write_trace
 from .owlmodel import check_dl_profile, serialize_rdfxml, serialize_turtle
 from .xmldoc import ParseError, parse_xml
-from .xsdmodel import SchemaError, read_schema, serialize_schema, validate
+from .xsdmodel import SchemaError, read_schema, serialize_schema
 from .xsg import EmptySchema, build_xsg, to_dot
 
 logger = logging.getLogger("xsgowl")
@@ -47,7 +47,6 @@ class RunConfig:
     with_cardinality: bool = False
     strict_dl: bool = False
     literal_domains: bool = False
-    log_level: str = "normal"  # quiet | normal | verbose
     input_kind: str | None = None  # xml | xsd | None = by extension
 
 
@@ -155,15 +154,9 @@ def _process_source(path: str, cfg: RunConfig) -> str:
                 "%s: --with-instances has no effect on schema inputs", stem
             )
         else:
-            report = validate(doc, schema)
-            if not report.ok:
-                details = "; ".join(str(v) for v in report.violations[:5])
-                raise _SourceFailure(
-                    EXIT_SCHEMA, f"{path}: document does not validate: {details}"
-                )
             try:
                 ontology = populate(doc, schema, ontology, trace)
-            except NamingCollision as exc:
+            except (DocumentInvalid, NamingCollision) as exc:
                 raise _SourceFailure(EXIT_SCHEMA, f"{path}: {exc}")
 
     if cfg.format in ("turtle", "both"):
@@ -201,8 +194,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     return exit_code
 
 
-def cmd_infer_schema(input_path: str, output_path: str,
-                     input_kind: str | None = None) -> int:
+def cmd_infer_schema(input_path: str, output_path: str) -> int:
     try:
         data = _read_bytes(input_path)
         try:
@@ -311,7 +303,6 @@ def main(argv: list[str] | None = None) -> int:
             with_cardinality=args.with_cardinality,
             strict_dl=args.strict_dl,
             literal_domains=args.literal_domains,
-            log_level=args.log_level,
             input_kind=args.input_kind,
         )
         if not cfg.base_iri.startswith(("http://", "https://", "urn:", "file://")):

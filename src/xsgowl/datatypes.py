@@ -77,14 +77,6 @@ def join_datatype(a: str, b: str) -> str:
     return STRING
 
 
-def join_all(types) -> str:
-    it = iter(types)
-    out = next(it)
-    for t in it:
-        out = join_datatype(out, t)
-    return out
-
-
 # Lexical validity per XSD built-in, for the structural validator and for
 # ABox literals. Types without an entry are accepted unchecked (facet
 # checking beyond the lexical match is out of scope). xs:boolean's full

@@ -135,7 +135,7 @@ def _observe(profile: ElementProfile, e: XmlElement, merge_conflicts: bool):
             profile._order_warned = True
 
     for name, value in e.attributes:
-        if name.prefix == "xmlns" or (name.prefix is None and name.local == "xmlns"):
+        if name.is_ns_decl:
             continue  # namespace declarations are not data
         local = name.local
         t = infer_datatype(value)

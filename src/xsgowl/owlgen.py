@@ -39,7 +39,6 @@ from .owlmodel import (
     sanitize_fragment,
     xsd_iri,
 )
-from .paths import build_path_map
 from .xsdmodel import AttrDecl, ComplexType, ElementDecl, NamedTypeRef, SchemaModel
 from .xsg import (
     ATTRIBUTE,
@@ -85,12 +84,6 @@ class MappingTrace:
     #: every contributing schema path -> generated IRI; a merged property
     #: has one bridge record (first origin) but several entries here
     resolution: dict[str, Iri] = field(compare=False, default_factory=dict)
-
-    def by_path(self) -> dict[str, Bridge]:
-        return {b.schema_path: b for b in self.bridges}
-
-    def resolve(self, schema_path: str) -> Iri:
-        return self.resolution[schema_path]
 
 
 @dataclass(frozen=True)
@@ -166,7 +159,7 @@ class _Generator:
         self.schema = schema
         self.graph = graph
         self.opts = opts
-        self.pm = build_path_map(schema)
+        self.view = schema.resolved
         self.class_iri: dict[int, Iri] = {}  # id(type/group component) -> Iri
         self.notes: list[str] = []
 
@@ -200,7 +193,7 @@ class _Generator:
                 label, rule = comp.name, RULE_CLASS_GROUP
             iri = self.iri(alloc.allocate(label))
             self.class_iri[id(comp)] = iri
-            records.append((comp, label, iri, rule, self.pm.path(comp)))
+            records.append((comp, label, iri, rule, self.view.path(comp)))
         self.notes.extend(alloc.notes)
 
         classes: list[OwlClass] = []
@@ -213,7 +206,7 @@ class _Generator:
                 base = self.schema.type_named(base_name)
                 subclass_of = self.class_iri[id(base)]
                 subclass_bridges.append(Bridge(
-                    f"{path}/xs:complexContent/xs:{kind}",
+                    self.view.body_path(comp),
                     KIND_SUBCLASS,
                     RULE_SUBCLASS_EXT if kind == "extension" else RULE_SUBCLASS_RESTR,
                     iri,
@@ -282,35 +275,33 @@ class _Generator:
                     if class_range is not None:
                         record(
                             obj_records, f"has{class_range.fragment}", domain,
-                            class_range, e.occurs, self.pm.path(e.schema_ref),
+                            class_range, e.occurs, self.view.path(e.schema_ref),
                             RULE_OBJPROP,
                         )
                     else:
                         rng, rule = dt_range
                         record(
                             dt_records, self.dt_name(decl.name), domain,
-                            rng, None, self.pm.path(e.schema_ref), rule,
+                            rng, None, self.view.path(e.schema_ref), rule,
                         )
                 elif dst.kind == ATTRIBUTE:
                     a = dst.schema_ref
                     rng, rule = self.attr_range(a)
                     record(
                         dt_records, self.dt_name(a.name), domain,
-                        rng, None, self.pm.path(a), rule,
+                        rng, None, self.view.path(a), rule,
                     )
                 elif dst.kind in (ELEMENT_GROUP, ATTRIBUTE_GROUP):
                     group_class = self.class_iri[id(dst.schema_ref)]
-                    tag = "group" if dst.kind == ELEMENT_GROUP else "attributeGroup"
                     record(
                         obj_records, f"has{group_class.fragment}", domain,
-                        group_class, None,
-                        f"{self.pm.body_path(comp)}/xs:{tag}[{e.schema_ref}]",
+                        group_class, None, self.view.ref_path(comp, dst.schema_ref),
                         RULE_OBJPROP,
                     )
             if isinstance(comp, ComplexType) and comp.mixed:
                 record(
                     dt_records, "hasTextContent", domain, xsd_iri("string"),
-                    None, f"{self.pm.path(comp)}/text()", RULE_DTPROP_MIXED_TEXT,
+                    None, f"{self.view.path(comp)}/text()", RULE_DTPROP_MIXED_TEXT,
                 )
         return obj_records, dt_records
 

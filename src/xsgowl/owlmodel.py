@@ -51,7 +51,6 @@ class ObjectProperty:
     iri: Iri
     domain: tuple[Iri, ...]
     range: Iri
-    union_domain: bool = True
     cardinality: tuple[int, int | None] | None = None
     origin: str = field(compare=False, default="")
 
@@ -61,7 +60,6 @@ class DatatypeProperty:
     iri: Iri
     domain: tuple[Iri, ...]
     range: str  # full datatype IRI
-    union_domain: bool = True
     origin: str = field(compare=False, default="")
 
 
@@ -201,15 +199,12 @@ def _turtle_literal(value: str, dt: str) -> str:
     return text if not dt else f"{text}^^{_turtle_datatype(dt)}"
 
 
-def _domain_expr(domain: tuple[Iri, ...], union: bool) -> list[str]:
-    """rdfs:domain object expressions; several entries mean several
-    domain triples (the intersection reading)."""
+def _domain_expr(domain: tuple[Iri, ...]) -> str:
+    """rdfs:domain object expression: the one class, or the union of all."""
     if len(domain) == 1:
-        return [f":{domain[0].fragment}"]
-    if union:
-        members = " ".join(f":{d.fragment}" for d in domain)
-        return [f"[ a owl:Class ; owl:unionOf ( {members} ) ]"]
-    return [f":{d.fragment}" for d in domain]
+        return f":{domain[0].fragment}"
+    members = " ".join(f":{d.fragment}" for d in domain)
+    return f"[ a owl:Class ; owl:unionOf ( {members} ) ]"
 
 
 def _cardinality_axioms(p: ObjectProperty) -> list[tuple[Iri, str, int]]:
@@ -264,8 +259,7 @@ def serialize_turtle(o: OntologyModel) -> str:
 
     for p in sorted(o.object_properties, key=lambda p: p.iri.fragment):
         out.append(f":{p.iri.fragment} a owl:ObjectProperty ;")
-        for expr in _domain_expr(p.domain, p.union_domain):
-            out.append(f"    rdfs:domain {expr} ;")
+        out.append(f"    rdfs:domain {_domain_expr(p.domain)} ;")
         out.append(f"    rdfs:range :{p.range.fragment} .")
         for cls, facet, value in _cardinality_axioms(p):
             out.append(
@@ -277,8 +271,7 @@ def serialize_turtle(o: OntologyModel) -> str:
 
     for p in sorted(o.datatype_properties, key=lambda p: p.iri.fragment):
         out.append(f":{p.iri.fragment} a owl:DatatypeProperty ;")
-        for expr in _domain_expr(p.domain, p.union_domain):
-            out.append(f"    rdfs:domain {expr} ;")
+        out.append(f"    rdfs:domain {_domain_expr(p.domain)} ;")
         out.append(f"    rdfs:range {_turtle_datatype(p.range)} .")
         out.append("")
 
@@ -340,22 +333,20 @@ def serialize_rdfxml(o: OntologyModel) -> str:
     else:
         out.append(f'  <owl:Ontology rdf:about="{_xml_attr(base)}"/>')
 
-    def domain_xml(domain: tuple[Iri, ...], union: bool, indent: str) -> list[str]:
+    def domain_xml(domain: tuple[Iri, ...], indent: str) -> list[str]:
         if len(domain) == 1:
             return [f'{indent}<rdfs:domain rdf:resource="{about(domain[0])}"/>']
-        if union:
-            lines = [
-                f"{indent}<rdfs:domain>",
-                f"{indent}  <owl:Class>",
-                f'{indent}    <owl:unionOf rdf:parseType="Collection">',
-            ]
-            for d in domain:
-                lines.append(f'{indent}      <rdf:Description rdf:about="{about(d)}"/>')
-            lines.append(f"{indent}    </owl:unionOf>")
-            lines.append(f"{indent}  </owl:Class>")
-            lines.append(f"{indent}</rdfs:domain>")
-            return lines
-        return [f'{indent}<rdfs:domain rdf:resource="{about(d)}"/>' for d in domain]
+        lines = [
+            f"{indent}<rdfs:domain>",
+            f"{indent}  <owl:Class>",
+            f'{indent}    <owl:unionOf rdf:parseType="Collection">',
+        ]
+        for d in domain:
+            lines.append(f'{indent}      <rdf:Description rdf:about="{about(d)}"/>')
+        lines.append(f"{indent}    </owl:unionOf>")
+        lines.append(f"{indent}  </owl:Class>")
+        lines.append(f"{indent}</rdfs:domain>")
+        return lines
 
     for c in sorted(o.classes, key=lambda c: c.iri.fragment):
         out.append(f'  <owl:Class rdf:about="{about(c.iri)}">')
@@ -368,7 +359,7 @@ def serialize_rdfxml(o: OntologyModel) -> str:
 
     for p in sorted(o.object_properties, key=lambda p: p.iri.fragment):
         out.append(f'  <owl:ObjectProperty rdf:about="{about(p.iri)}">')
-        out.extend(domain_xml(p.domain, p.union_domain, "    "))
+        out.extend(domain_xml(p.domain, "    "))
         out.append(f'    <rdfs:range rdf:resource="{about(p.range)}"/>')
         out.append("  </owl:ObjectProperty>")
         for cls, facet, value in _cardinality_axioms(p):
@@ -386,7 +377,7 @@ def serialize_rdfxml(o: OntologyModel) -> str:
 
     for p in sorted(o.datatype_properties, key=lambda p: p.iri.fragment):
         out.append(f'  <owl:DatatypeProperty rdf:about="{about(p.iri)}">')
-        out.extend(domain_xml(p.domain, p.union_domain, "    "))
+        out.extend(domain_xml(p.domain, "    "))
         out.append(f'    <rdfs:range rdf:resource="{_xml_attr(p.range)}"/>')
         out.append("  </owl:DatatypeProperty>")
 
@@ -423,21 +414,14 @@ def serialize_rdfxml(o: OntologyModel) -> str:
 
 
 def check_dl_profile(o: OntologyModel) -> list[str]:
-    """Warnings for constructs that stretch OWL-DL: xsd:anyType ranges,
-    multi-domain properties read as intersections, and names the
-    generator had to rewrite."""
+    """Warnings for constructs that stretch OWL-DL: xsd:anyType ranges and
+    names the generator had to rewrite."""
     warnings: list[str] = []
     for p in o.datatype_properties:
         if p.range == XSD_ANYTYPE:
             warnings.append(
                 f"datatype property '{p.iri.fragment}' has range xsd:anyType, "
                 f"which is not an OWL-DL datatype"
-            )
-    for p in list(o.object_properties) + list(o.datatype_properties):
-        if len(p.domain) > 1 and not p.union_domain:
-            warnings.append(
-                f"property '{p.iri.fragment}' has {len(p.domain)} domain axioms; "
-                f"OWL reads them as an intersection, which may be empty"
             )
     warnings.extend(o.naming_notes)
     return warnings

@@ -36,6 +36,11 @@ class XmlName:
     def __str__(self) -> str:
         return self.local if self.prefix is None else f"{self.prefix}:{self.local}"
 
+    @property
+    def is_ns_decl(self) -> bool:
+        """True for an xmlns or xmlns:* attribute name."""
+        return self.prefix == "xmlns" or (self.prefix is None and self.local == "xmlns")
+
 
 @dataclass(frozen=True)
 class XmlElement:

@@ -9,6 +9,10 @@ constructs (xs:choice, xs:all, substitution groups, xs:any, imports,
 simpleContent, ...) raise SchemaError naming the construct rather than
 being dropped.
 
+`SchemaModel.resolved` is the one derived view of a model: each
+component's schema path and each complex type's flattened content. The
+validator here, the TBox generator and instance population all read it.
+
 Validation is deliberately structural, not a full XSD 1.0 validator: it
 checks element/attribute presence, per-name occurrence counts, lexical
 datatype fit and text placement. Child order is not enforced; occurrence
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .datatypes import lexically_valid
 from .xmldoc import XmlDocument, XmlElement, parse_xml, text_content
@@ -161,6 +166,125 @@ class SchemaModel:
             if g.name == name:
                 return g
         return None
+
+    @cached_property
+    def resolved(self) -> "ResolvedSchema":
+        """The schema facts every later stage reads, derived once."""
+        return ResolvedSchema(self)
+
+
+# ---------------------------------------------------------------------------
+# resolved view
+
+
+@dataclass(frozen=True)
+class GroupUse:
+    """One complex type's reference to a group or attributeGroup."""
+    decl: GroupDecl | AttrGroupDecl
+    path: str  # under the body of the type that writes the reference
+
+
+@dataclass(frozen=True)
+class TypeContent:
+    """A complex type's content with its extension chain and group
+    references flattened, base members first. Each member carries the
+    GroupUse it came through, or None when a type declares it directly."""
+    particles: dict[str, list[tuple[Particle, GroupUse | None]]]
+    attributes: dict[str, tuple[AttrDecl, GroupUse | None]]  # first wins
+    mixed_types: tuple[ComplexType, ...]  # most-derived first
+
+
+class ResolvedSchema:
+    """Stable XPath-like paths for every component of one SchemaModel
+    (keyed by identity) and each complex type's flattened content, built
+    on first use. The validator, the TBox generator and instance
+    population all read this one view, so the bridges the generator
+    records are the ones population looks up."""
+
+    def __init__(self, model: SchemaModel):
+        self.model = model
+        self._paths: dict[int, str] = {}
+        self._bodies: dict[int, str] = {}
+        self._content: dict[int, TypeContent] = {}
+        for e in model.global_elements:
+            self._walk_element(e, f"/xs:schema/xs:element[{e.name}]")
+        for t in model.global_types:
+            if isinstance(t, ComplexType):
+                self._walk_type(t, f"/xs:schema/xs:complexType[{t.name}]")
+            else:
+                self._paths.setdefault(id(t), f"/xs:schema/xs:simpleType[{t.name}]")
+        for g in model.element_groups:
+            path = f"/xs:schema/xs:group[{g.name}]"
+            self._paths.setdefault(id(g), path)
+            self._walk_members(g.particles, (), path)
+        for ag in model.attribute_groups:
+            path = f"/xs:schema/xs:attributeGroup[{ag.name}]"
+            self._paths.setdefault(id(ag), path)
+            self._walk_members((), ag.attributes, path)
+
+    def _walk_element(self, decl: ElementDecl, path: str):
+        self._paths.setdefault(id(decl), path)
+        if isinstance(decl.type, ComplexType):
+            self._walk_type(decl.type, f"{path}/xs:complexType")
+
+    def _walk_type(self, ct: ComplexType, path: str):
+        self._paths.setdefault(id(ct), path)
+        if ct.derivation is not None:
+            path = f"{path}/xs:complexContent/xs:{ct.derivation[0]}"
+        self._bodies.setdefault(id(ct), path)
+        self._walk_members(ct.particles, ct.attributes, path)
+
+    def _walk_members(self, particles, attributes, path: str):
+        for p in particles:
+            ppath = f"{path}/xs:sequence/xs:element[{p.name}]"
+            self._paths.setdefault(id(p), ppath)
+            if p.decl is not None:
+                self._walk_element(p.decl, ppath)
+        for a in attributes:
+            self._paths.setdefault(id(a), f"{path}/xs:attribute[{a.name}]")
+
+    def path(self, component) -> str:
+        return self._paths[id(component)]
+
+    def body_path(self, ct: ComplexType) -> str:
+        """Path of the type's own content model, including the
+        complexContent segment for derived types."""
+        return self._bodies[id(ct)]
+
+    def ref_path(self, ct: ComplexType, decl: GroupDecl | AttrGroupDecl) -> str:
+        """Path of ct's own reference to a group or attributeGroup."""
+        tag = "group" if isinstance(decl, GroupDecl) else "attributeGroup"
+        return f"{self._bodies[id(ct)]}/xs:{tag}[{decl.name}]"
+
+    def content(self, ct: ComplexType) -> TypeContent:
+        """The type's flattened content, built on first use."""
+        found = self._content.get(id(ct))
+        if found is None:
+            found = self._content[id(ct)] = self._flatten(ct)
+        return found
+
+    def _flatten(self, ct: ComplexType) -> TypeContent:
+        chain = [ct]  # most-derived first; extension adds to its base
+        while chain[-1].derivation is not None and chain[-1].derivation[0] == "extension":
+            chain.append(self.model.type_named(chain[-1].derivation[1]))
+        particles: dict[str, list[tuple[Particle, GroupUse | None]]] = {}
+        attrs: dict[str, tuple[AttrDecl, GroupUse | None]] = {}
+        for t in reversed(chain):
+            for p in t.particles:
+                particles.setdefault(p.name, []).append((p, None))
+            for g in t.group_refs:
+                decl = self.model.group(g)
+                use = GroupUse(decl, self.ref_path(t, decl))
+                for p in decl.particles:
+                    particles.setdefault(p.name, []).append((p, use))
+            for a in t.attributes:
+                attrs.setdefault(a.name, (a, None))
+            for ag in t.attr_group_refs:
+                decl = self.model.attr_group(ag)
+                use = GroupUse(decl, self.ref_path(t, decl))
+                for a in decl.attributes:
+                    attrs.setdefault(a.name, (a, use))
+        return TypeContent(particles, attrs, tuple(t for t in chain if t.mixed))
 
 
 # ---------------------------------------------------------------------------
@@ -722,10 +846,6 @@ class ValidationReport:
         return not self.violations
 
 
-def _is_ns_decl(name) -> bool:
-    return name.prefix == "xmlns" or (name.prefix is None and name.local == "xmlns")
-
-
 class _Validator:
     def __init__(self, model: SchemaModel):
         self.model = model
@@ -748,34 +868,6 @@ class _Validator:
             return t.base
         return None
 
-    def effective_content(
-        self, ct: ComplexType
-    ) -> tuple[dict[str, list[Particle]], dict[str, AttrDecl], bool]:
-        """Per-name particles and attributes after flattening groups and
-        the derivation chain (extension adds to its base)."""
-        particles: dict[str, list[Particle]] = {}
-        attrs: dict[str, AttrDecl] = {}
-        mixed = ct.mixed
-
-        def add_type(t: ComplexType):
-            nonlocal mixed
-            mixed = mixed or t.mixed
-            if t.derivation is not None and t.derivation[0] == "extension":
-                add_type(self.model.type_named(t.derivation[1]))
-            for p in t.particles:
-                particles.setdefault(p.name, []).append(p)
-            for g in t.group_refs:
-                for p in self.model.group(g).particles:
-                    particles.setdefault(p.name, []).append(p)
-            for a in t.attributes:
-                attrs.setdefault(a.name, a)
-            for ag in t.attr_group_refs:
-                for a in self.model.attr_group(ag).attributes:
-                    attrs.setdefault(a.name, a)
-
-        add_type(ct)
-        return particles, attrs, mixed
-
     def check_simple_value(self, value: str, type_ref, path: str):
         lex = self.lexical_name(type_ref)
         if lex is not None and not lexically_valid(value, lex):
@@ -787,7 +879,7 @@ class _Validator:
             return
         if isinstance(resolved, (BuiltinRef, SimpleType)):
             for name, _ in instance.attributes:
-                if not _is_ns_decl(name):
+                if not name.is_ns_decl:
                     self.complain(
                         "undeclared-attribute", path,
                         f"attribute {name.local!r} not allowed on simple-typed element",
@@ -800,36 +892,37 @@ class _Validator:
             self.check_simple_value(text_content(instance), type_ref, path)
             return
 
-        particles, attrs, mixed = self.effective_content(resolved)
+        content = self.model.resolved.content(resolved)
+        attrs = content.attributes
 
         for name, value in instance.attributes:
-            if _is_ns_decl(name):
+            if name.is_ns_decl:
                 continue
-            decl = attrs.get(name.local)
-            if decl is None:
+            member = attrs.get(name.local)
+            if member is None:
                 self.complain(
                     "undeclared-attribute", path, f"undeclared attribute {name.local!r}"
                 )
             else:
-                self.check_simple_value(value, decl.datatype, f"{path}/@{name.local}")
-        for name, decl in attrs.items():
+                self.check_simple_value(value, member[0].datatype, f"{path}/@{name.local}")
+        for name, (decl, _) in attrs.items():
             if decl.required and instance.attribute(name) is None:
                 self.complain(
                     "missing-attribute", path, f"required attribute {name!r} is missing"
                 )
 
-        if not mixed and any(isinstance(c, str) for c in instance.children):
+        if not content.mixed_types and any(isinstance(c, str) for c in instance.children):
             self.complain("unexpected-text", path, "text content in non-mixed type")
 
         counts: dict[str, int] = {}
         ordinals: dict[str, int] = {}
         for child in instance.child_elements():
             counts[child.name.local] = counts.get(child.name.local, 0) + 1
-        for name, plist in particles.items():
+        for name, members in content.particles.items():
             n = counts.get(name, 0)
-            min_total = sum(p.min_occurs for p in plist)
-            max_total = None if any(p.max_occurs is None for p in plist) \
-                else sum(p.max_occurs for p in plist)
+            min_total = sum(p.min_occurs for p, _ in members)
+            max_total = None if any(p.max_occurs is None for p, _ in members) \
+                else sum(p.max_occurs for p, _ in members)
             if n == 0 and min_total > 0:
                 self.complain(
                     "missing-child", path, f"required child {name!r} is missing"
@@ -848,11 +941,11 @@ class _Validator:
             name = child.name.local
             ordinals[name] = ordinals.get(name, 0) + 1
             child_path = f"{path}/{name}[{ordinals[name]}]"
-            plist = particles.get(name)
-            if plist is None:
+            members = content.particles.get(name)
+            if members is None:
                 self.complain("unknown-element", child_path, f"unexpected element {name!r}")
                 continue
-            p = plist[0]
+            p = members[0][0]
             child_type = self.model.element(p.ref).type if p.ref is not None else p.decl.type
             self.visit(child, child_type, child_path)
 

@@ -4,7 +4,7 @@ from xsgowl.abox import IndividualNaming, NamingCollision, populate, split_indiv
 from xsgowl.owlgen import GenOptions, generate_tbox
 from xsgowl.owlmodel import serialize_turtle, xsd_iri
 from xsgowl.xmldoc import parse_xml
-from xsgowl.xsdmodel import read_schema
+from xsgowl.xsdmodel import read_schema, validate
 from xsgowl.xsg import build_xsg
 from triples import parse_turtle
 from randgen import random_document
@@ -195,6 +195,45 @@ def test_group_members_populate_via_synthetic_individual():
     ),)
     data = {p.fragment: v for p, v, _ in holder.data_assertions}
     assert data == {"first": "Ada", "last": "Lovelace"}
+
+
+def test_groups_inherited_through_extension_populate():
+    # the has<Group> properties hang off Base, which writes the references
+    xsd = b"""<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+      <xs:element name="doc" type="Derived"/>
+      <xs:element name="first" type="xs:NCName"/>
+      <xs:element name="extra" type="xs:NCName"/>
+      <xs:complexType name="Base">
+        <xs:sequence><xs:group ref="G"/></xs:sequence>
+        <xs:attributeGroup ref="AG"/>
+      </xs:complexType>
+      <xs:complexType name="Derived">
+        <xs:complexContent><xs:extension base="Base">
+          <xs:sequence><xs:element ref="extra"/></xs:sequence>
+        </xs:extension></xs:complexContent>
+      </xs:complexType>
+      <xs:group name="G">
+        <xs:sequence><xs:element ref="first"/></xs:sequence>
+      </xs:group>
+      <xs:attributeGroup name="AG">
+        <xs:attribute name="lang" type="xs:NCName"/>
+      </xs:attributeGroup>
+    </xs:schema>"""
+    schema = read_schema(xsd, "t")
+    tbox, trace = generate_tbox(schema, build_xsg(schema), GenOptions(base_iri=BASE))
+    doc = parse_xml(b'<doc lang="en"><first>Ada</first><extra>x</extra></doc>', "d")
+    assert validate(doc, schema).ok
+    onto = populate(doc, schema, tbox, trace)
+    by_class = {i.class_iri.fragment: i for i in onto.individuals}
+    assert set(by_class) == {"Derived", "G", "AG"}
+    links = {p.fragment: t for p, t in by_class["Derived"].object_assertions}
+    assert links == {"hasG": by_class["G"].iri, "hasAG": by_class["AG"].iri}
+    assert {p.fragment: v for p, v, _ in by_class["Derived"].data_assertions} \
+        == {"extra": "x"}
+    assert {p.fragment: v for p, v, _ in by_class["G"].data_assertions} \
+        == {"first": "Ada"}
+    assert {p.fragment: v for p, v, _ in by_class["AG"].data_assertions} \
+        == {"lang": "en"}
 
 
 def test_split_individuals(pipeline, bibliography_single_xml):

@@ -117,6 +117,23 @@ def test_unsupported_construct_exit_3(tmp_path, capsys):
     assert "choice" in capsys.readouterr().err
 
 
+def test_invalid_document_exit_3(tmp_path, monkeypatch, capsys):
+    import xsgowl.cli as cli_module
+    from xsgowl.xsdmodel import read_schema
+    strict = read_schema(b"""<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+      <xs:element name="r"><xs:complexType><xs:sequence>
+        <xs:element name="b" type="xs:integer"/>
+      </xs:sequence></xs:complexType></xs:element>
+    </xs:schema>""", "strict")
+    monkeypatch.setattr(cli_module, "infer_schema", lambda docs: strict)
+    src = tmp_path / "r.xml"
+    src.write_bytes(b"<r><a>1</a></r>")
+    code = run(["generate", str(src), "--out-dir", str(tmp_path),
+                "--with-instances"])
+    assert code == EXIT_SCHEMA
+    assert "does not validate" in capsys.readouterr().err
+
+
 def test_usage_error_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["generate"])  # missing inputs

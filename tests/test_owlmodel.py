@@ -69,18 +69,6 @@ def test_union_domain_expression():
     assert "owl:unionOf ( :bibliography :biblioentry )" in ttl
 
 
-def test_multi_domain_without_union_is_two_triples():
-    model = small_model(datatype_properties=(
-        DatatypeProperty(iri("id"), (iri("bibliography"), iri("biblioentry")),
-                         xsd_iri("NCName"), union_domain=False),
-    ))
-    triples = parse_turtle(serialize_turtle(model))
-    domains = {o for s, p, o in triples
-               if p == "http://www.w3.org/2000/01/rdf-schema#domain"}
-    assert domains == {iri("bibliography").full, iri("biblioentry").full}
-    assert parse_rdfxml(serialize_rdfxml(model)) == triples
-
-
 def test_cardinality_restriction_axioms():
     model = small_model(object_properties=(
         ObjectProperty(iri("hasauthor"), (iri("biblioentry"),), iri("author"),
@@ -180,15 +168,6 @@ def test_check_dl_profile_anytype():
     ))
     warnings = check_dl_profile(model)
     assert len(warnings) == 1 and "isbn" in warnings[0] and "anyType" in warnings[0]
-
-
-def test_check_dl_profile_intersection_risk():
-    model = small_model(datatype_properties=(
-        DatatypeProperty(iri("id"), (iri("bibliography"), iri("biblioentry")),
-                         xsd_iri("NCName"), union_domain=False),
-    ))
-    warnings = check_dl_profile(model)
-    assert len(warnings) == 1 and "intersection" in warnings[0]
 
 
 def test_check_dl_profile_clean():
