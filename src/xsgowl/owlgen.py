@@ -24,6 +24,7 @@ properties); subclass axioms get one bridge each on top.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .datatypes import LATTICE_TYPES, join_datatype
@@ -105,18 +106,20 @@ def write_trace(t: MappingTrace) -> str:
 
 
 class _PropRecord:
-    __slots__ = ("name", "domains", "ranges", "occurs", "paths", "rule")
+    __slots__ = ("name", "domains", "domain_set", "ranges", "occurs", "paths", "rule")
 
     def __init__(self, name, domain, rng, occurs, path, rule):
         self.name = name
-        self.domains = [domain]
+        self.domains = [domain]  # first-seen order; domains[0] qualifies the fragment
+        self.domain_set = {domain}
         self.ranges = [rng]
         self.occurs = [occurs]
         self.paths = [path]  # first entry is the bridge's origin
         self.rule = rule
 
     def add(self, domain, rng, occurs, path):
-        if domain not in self.domains:
+        if domain not in self.domain_set:
+            self.domain_set.add(domain)
             self.domains.append(domain)
         self.ranges.append(rng)
         self.occurs.append(occurs)
@@ -162,6 +165,12 @@ class _Generator:
         self.view = schema.resolved
         self.class_iri: dict[int, Iri] = {}  # id(type/group component) -> Iri
         self.notes: list[str] = []
+        self.sanitized_dt_names: set[str] = set()  # raw names already noted
+        # type vertex id -> label of its element; the first element-type edge wins
+        self.element_of_type: dict[int, str] = {}
+        for e in graph.edges:
+            if e.kind == EDGE_ELEMENT_TYPE:
+                self.element_of_type.setdefault(e.dst, graph.vertices[e.src].label)
 
     def iri(self, fragment: str) -> Iri:
         return Iri(self.opts.base_iri, fragment)
@@ -173,11 +182,10 @@ class _Generator:
         ]
 
     def surrounding_element(self, type_vertex) -> str:
-        for e in self.graph.edges:
-            if e.kind == EDGE_ELEMENT_TYPE and e.dst == type_vertex.id:
-                src = self.graph.vertices[e.src]
-                return src.label
-        raise AssertionError(f"anonymous type vertex {type_vertex.id} has no element")
+        label = self.element_of_type.get(type_vertex.id)
+        if label is None:
+            raise AssertionError(f"anonymous type vertex {type_vertex.id} has no element")
+        return label
 
     def make_classes(self) -> tuple[list[OwlClass], list[Bridge]]:
         alloc = FragmentAllocator("class")
@@ -243,10 +251,9 @@ class _Generator:
 
     def dt_name(self, raw: str) -> str:
         fragment = sanitize_fragment(raw)
-        if fragment != raw:
-            note = f"datatype property name {raw!r} sanitized to {fragment!r}"
-            if note not in self.notes:
-                self.notes.append(note)
+        if fragment != raw and raw not in self.sanitized_dt_names:
+            self.sanitized_dt_names.add(raw)
+            self.notes.append(f"datatype property name {raw!r} sanitized to {fragment!r}")
         return fragment
 
     def collect_properties(self):
@@ -305,11 +312,12 @@ class _Generator:
                 )
         return obj_records, dt_records
 
-    def finish_fragment(self, records: dict, key, rec: _PropRecord) -> str:
-        if self.opts.union_domains:
-            return rec.name
-        clashing = sum(1 for r in records.values() if r.name == rec.name)
-        if clashing > 1:
+    @staticmethod
+    def finish_fragment(name_counts: Counter, rec: _PropRecord) -> str:
+        """The record's name, qualified with its first domain class when
+        several records share it. Union domains key records by name, so
+        only literal domains can share one."""
+        if name_counts[rec.name] > 1:
             return f"{rec.domains[0].fragment}.{rec.name}"
         return rec.name
 
@@ -324,8 +332,9 @@ class _Generator:
         resolution: dict[str, Iri] = {b.schema_path: b.iri for b in bridges}
 
         object_properties: list[ObjectProperty] = []
-        for key, rec in obj_records.items():
-            fragment = self.finish_fragment(obj_records, key, rec)
+        name_counts = Counter(rec.name for rec in obj_records.values())
+        for rec in obj_records.values():
+            fragment = self.finish_fragment(name_counts, rec)
             cardinality = _join_occurs(rec.occurs) if self.opts.emit_cardinality else None
             prop = ObjectProperty(
                 iri=self.iri(fragment),
@@ -339,8 +348,9 @@ class _Generator:
             resolution.update((p, prop.iri) for p in rec.paths)
 
         datatype_properties: list[DatatypeProperty] = []
-        for key, rec in dt_records.items():
-            fragment = self.finish_fragment(dt_records, key, rec)
+        name_counts = Counter(rec.name for rec in dt_records.values())
+        for rec in dt_records.values():
+            fragment = self.finish_fragment(name_counts, rec)
             prop = DatatypeProperty(
                 iri=self.iri(fragment),
                 domain=tuple(sorted(rec.domains, key=lambda i: i.fragment)),

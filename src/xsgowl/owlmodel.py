@@ -154,6 +154,10 @@ class FragmentAllocator:
         self.category = category
         self.taken: set[str] = set()
         self.notes: list[str] = []
+        # fragment -> last suffix handed out for it. `taken` only grows, so
+        # the smallest free suffix never drops below it: searching from
+        # there gives the same names as searching from 2, in linear time.
+        self.last_suffix: dict[str, int] = {}
 
     def allocate(self, name: str) -> str:
         fragment = sanitize_fragment(name)
@@ -162,9 +166,10 @@ class FragmentAllocator:
                 f"{self.category} name {name!r} sanitized to {fragment!r}"
             )
         if fragment in self.taken:
-            n = 2
+            n = self.last_suffix.get(fragment, 2)
             while f"{fragment}_{n}" in self.taken:
                 n += 1
+            self.last_suffix[fragment] = n
             self.notes.append(
                 f"{self.category} name {fragment!r} already used; "
                 f"renamed to {fragment}_{n}"

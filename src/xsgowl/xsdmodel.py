@@ -144,33 +144,48 @@ class SchemaModel:
     source_id: str = field(compare=False, default="")
 
     def element(self, name: str) -> ElementDecl | None:
-        for e in self.global_elements:
-            if e.name == name:
-                return e
-        return None
+        return self._elements.get(name)
 
     def type_named(self, name: str) -> ComplexType | SimpleType | None:
-        for t in self.global_types:
-            if t.name == name:
-                return t
-        return None
+        return self._types.get(name)
 
     def group(self, name: str) -> GroupDecl | None:
-        for g in self.element_groups:
-            if g.name == name:
-                return g
-        return None
+        return self._groups.get(name)
 
     def attr_group(self, name: str) -> AttrGroupDecl | None:
-        for g in self.attribute_groups:
-            if g.name == name:
-                return g
-        return None
+        return self._attr_groups.get(name)
+
+    # Name indexes behind the four lookups, each built on first use. A
+    # model read from XSD has unique names (`_check_references`), but a
+    # model built by hand may not: the first declaration of a name wins.
+
+    @cached_property
+    def _elements(self) -> dict[str, ElementDecl]:
+        return _first_wins(self.global_elements)
+
+    @cached_property
+    def _types(self) -> dict[str, ComplexType | SimpleType]:
+        return _first_wins(self.global_types)
+
+    @cached_property
+    def _groups(self) -> dict[str, GroupDecl]:
+        return _first_wins(self.element_groups)
+
+    @cached_property
+    def _attr_groups(self) -> dict[str, AttrGroupDecl]:
+        return _first_wins(self.attribute_groups)
 
     @cached_property
     def resolved(self) -> "ResolvedSchema":
         """The schema facts every later stage reads, derived once."""
         return ResolvedSchema(self)
+
+
+def _first_wins(components) -> dict:
+    index = {}
+    for c in components:
+        index.setdefault(c.name, c)
+    return index
 
 
 # ---------------------------------------------------------------------------

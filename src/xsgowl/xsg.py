@@ -9,12 +9,17 @@ references to groups also get a member edge so the group stays reachable.
 The graph of a recursion-free schema is acyclic; recursive schemas are
 handled by marking the closing edge of each cycle as a back edge, which
 downstream traversal excludes.
+
+A graph is read-only once `build_xsg` returns it. Its out-adjacency and
+in-degrees are derived from the edge list once, on first use, and shared
+by the builder's own traversals, the TBox generator and `is_tree`.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .xsdmodel import (
     AttrGroupDecl,
@@ -72,22 +77,34 @@ class XsgEdge:
 
 @dataclass
 class SchemaGraph:
+    """Vertex ids are list positions in `vertices`, edge ids in `edges`.
+    Read-only after `build_xsg`: the adjacency and in-degrees below are
+    derived once and never refreshed."""
     vertices: list[XsgVertex]
     edges: list[XsgEdge]
     roots: list[int]
     back_edges: list[int]
 
-    def vertex_of(self, component) -> XsgVertex | None:
-        for v in self.vertices:
-            if v.schema_ref is component:
-                return v
-        return None
+    @cached_property
+    def adjacency(self) -> list[tuple[XsgEdge, ...]]:
+        """Out-edges per vertex id, in edge-id order."""
+        out: list[list[XsgEdge]] = [[] for _ in self.vertices]
+        for e in self.edges:
+            out[e.src].append(e)
+        return [tuple(edges) for edges in out]
 
-    def out_edges(self, vertex_id: int) -> list[XsgEdge]:
-        return [e for e in self.edges if e.src == vertex_id]
+    @cached_property
+    def _in_degrees(self) -> list[int]:
+        degrees = [0] * len(self.vertices)
+        for e in self.edges:
+            degrees[e.dst] += 1
+        return degrees
+
+    def out_edges(self, vertex_id: int) -> tuple[XsgEdge, ...]:
+        return self.adjacency[vertex_id]
 
     def in_degree(self, vertex_id: int) -> int:
-        return sum(1 for e in self.edges if e.dst == vertex_id)
+        return self._in_degrees[vertex_id]
 
 
 class _GraphBuilder:
@@ -136,9 +153,8 @@ class _GraphBuilder:
         for ag in schema.attribute_groups:
             self.visit_attr_group(ag)
 
-        roots = self.find_roots()
-        back_edges = self.find_back_edges(roots)
-        graph = SchemaGraph(self.vertices, self.edges, roots, back_edges)
+        graph = SchemaGraph(self.vertices, self.edges, self.find_roots(), [])
+        graph.back_edges = self.find_back_edges(graph)
         self.warn_unreachable(graph)
         return graph
 
@@ -226,10 +242,8 @@ class _GraphBuilder:
             )
         return roots
 
-    def find_back_edges(self, roots: list[int]) -> list[int]:
-        adj: dict[int, list[XsgEdge]] = {v.id: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e.src].append(e)
+    def find_back_edges(self, graph: SchemaGraph) -> list[int]:
+        adj = graph.adjacency
         back: list[int] = []
         visited: set[int] = set()
         on_stack: set[int] = set()
@@ -253,7 +267,7 @@ class _GraphBuilder:
                     on_stack.add(edge.dst)
                     stack.append((edge.dst, iter(adj[edge.dst])))
 
-        for r in roots:
+        for r in graph.roots:
             if r not in visited:
                 dfs(r)
         for v in self.vertices:  # disconnected clusters still get classified
@@ -264,17 +278,13 @@ class _GraphBuilder:
     def warn_unreachable(self, graph: SchemaGraph):
         reachable: set[int] = set()
         stack = list(graph.roots)
-        adj: dict[int, list[int]] = {v.id: [] for v in graph.vertices}
         back = set(graph.back_edges)
-        for e in graph.edges:
-            if e.id not in back:
-                adj[e.src].append(e.dst)
         while stack:
             vid = stack.pop()
             if vid in reachable:
                 continue
             reachable.add(vid)
-            stack.extend(adj[vid])
+            stack.extend(e.dst for e in graph.adjacency[vid] if e.id not in back)
         missing = len(graph.vertices) - len(reachable)
         if missing:
             logger.warning("%d graph vertices are unreachable from the roots", missing)

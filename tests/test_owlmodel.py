@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from xsgowl.owlmodel import (
@@ -230,3 +232,34 @@ def test_fragment_allocator_suffixes_and_notes():
     assert alloc.allocate("a") == "a_3"
     assert alloc.allocate("b c") == "b_c"
     assert len(alloc.notes) == 3
+
+
+def scanning_allocations(category: str, names: list[str]):
+    """Reference allocator: every collision searches upward from _2."""
+    taken, fragments, notes = set(), [], []
+    for name in names:
+        fragment = sanitize_fragment(name)
+        if fragment != name:
+            notes.append(f"{category} name {name!r} sanitized to {fragment!r}")
+        if fragment in taken:
+            n = 2
+            while f"{fragment}_{n}" in taken:
+                n += 1
+            notes.append(
+                f"{category} name {fragment!r} already used; renamed to {fragment}_{n}"
+            )
+            fragment = f"{fragment}_{n}"
+        taken.add(fragment)
+        fragments.append(fragment)
+    return fragments, notes
+
+
+def test_fragment_allocator_matches_scanning_reference():
+    # pre-taken suffixed names make the free suffix jump and later collide
+    pool = ["x", "x", "x", "x_2", "x_3", "x_5", "x_3_2", "x y", "x_y", "y", "y_2", "9"]
+    for seed in range(200):
+        rng = random.Random(seed)
+        names = [rng.choice(pool) for _ in range(rng.randint(1, 40))]
+        alloc = FragmentAllocator("class")
+        fragments = [alloc.allocate(n) for n in names]
+        assert (fragments, alloc.notes) == scanning_allocations("class", names), names

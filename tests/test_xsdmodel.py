@@ -1,17 +1,23 @@
 import pytest
 
+from xsgowl.infer import infer_schema
 from xsgowl.xmldoc import parse_xml
 from xsgowl.xsdmodel import (
+    AttrDecl,
+    AttrGroupDecl,
     BuiltinRef,
     ComplexType,
+    ElementDecl,
+    GroupDecl,
     NamedTypeRef,
     SchemaError,
+    SchemaModel,
     SimpleType,
     read_schema,
     serialize_schema,
     validate,
 )
-from randgen import random_schema
+from randgen import random_document, random_schema
 
 DERIVED_SCHEMA = b"""<?xml version="1.0" encoding="UTF-8"?>
 <xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
@@ -231,3 +237,47 @@ def test_extension_validates_inherited_content():
         v.kind == "missing-child" and "name" in v.message
         for v in validate(missing_base, model).violations
     )
+
+
+# --- name lookups -------------------------------------------------------------
+
+LOOKUPS = (
+    ("element", "global_elements"),
+    ("type_named", "global_types"),
+    ("group", "element_groups"),
+    ("attr_group", "attribute_groups"),
+)
+
+
+def assert_lookups_match_scans(model: SchemaModel):
+    """Each lookup returns the very object a first-match scan finds."""
+    for method, field in LOOKUPS:
+        components = getattr(model, field)
+        for name in [c.name for c in components] + ["no-such-name"]:
+            scanned = next((c for c in components if c.name == name), None)
+            assert getattr(model, method)(name) is scanned, \
+                (model.source_id, method, name)
+
+
+def test_lookups_equal_first_match_scans():
+    for seed in range(100):
+        assert_lookups_match_scans(random_schema(seed))
+        assert_lookups_match_scans(infer_schema([random_document(seed)]))
+
+
+def test_lookups_first_declaration_wins():
+    # equal-valued duplicates, so only identity tells the two apart
+    def twice(make):
+        return make(), make()
+
+    elements = twice(lambda: ElementDecl("e", BuiltinRef("string")))
+    types = twice(lambda: ComplexType("t"))
+    groups = twice(lambda: GroupDecl("g", ()))
+    attr_groups = twice(lambda: AttrGroupDecl("ag", (AttrDecl("a", BuiltinRef("string")),)))
+    model = SchemaModel(elements, types + (SimpleType("s", "string"),),
+                        groups, attr_groups, source_id="duplicates")
+    assert model.element("e") is elements[0]
+    assert model.type_named("t") is types[0]
+    assert model.group("g") is groups[0]
+    assert model.attr_group("ag") is attr_groups[0]
+    assert_lookups_match_scans(model)

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from xsgowl.infer import infer_schema
 from xsgowl.xsdmodel import read_schema
 from xsgowl.xsg import (
     ATTRIBUTE,
@@ -16,7 +17,7 @@ from xsgowl.xsg import (
     is_tree,
     to_dot,
 )
-from randgen import random_schema
+from randgen import random_document, random_schema
 
 RECURSIVE_SCHEMA = b"""<?xml version="1.0" encoding="UTF-8"?>
 <xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
@@ -194,6 +195,21 @@ def test_acyclic_after_back_edge_removal_random():
     for seed in range(60):
         g = build_xsg(random_schema(seed))
         assert cycle_free(g, drop_back_edges=True), f"seed {seed}"
+
+
+def test_adjacency_equals_edge_scans():
+    for seed in range(100):
+        for schema in (random_schema(seed), infer_schema([random_document(seed)])):
+            g = build_xsg(schema)
+            in_degrees = [sum(1 for e in g.edges if e.dst == v.id) for v in g.vertices]
+            for v in g.vertices:
+                assert list(g.out_edges(v.id)) == [e for e in g.edges if e.src == v.id]
+                assert g.in_degree(v.id) == in_degrees[v.id]
+            scanned_tree = (
+                not g.back_edges and len(g.roots) == 1
+                and all(d == (0 if v == g.roots[0] else 1) for v, d in enumerate(in_degrees))
+            )
+            assert is_tree(g) == scanned_tree, f"seed {seed}"
 
 
 def test_deterministic_ids(bibliography_xsd):
