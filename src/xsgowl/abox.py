@@ -98,44 +98,51 @@ class _Populator:
         datatype = "" if rng == RDFS_LITERAL else rng
         return (prop_iri, value, datatype)
 
+    def holder(self, instance: XmlElement, iri: Iri, use: GroupUse,
+               holders: dict, object_assertions: list) -> tuple:
+        """The synthetic member holder of one group reference on this
+        instance, created (and linked from it) on first use."""
+        found = holders.get(use.path)
+        if found is None:
+            synth_iri = self.claim(
+                instance, f"{iri.fragment}.{sanitize_fragment(use.decl.name)}_1"
+            )
+            found = holders[use.path] = (use, synth_iri, [], [])
+            object_assertions.append((self.resolution[use.path], synth_iri))
+        return found
+
     def build(self, instance: XmlElement, decl: ElementDecl,
-              path_fragment: str) -> tuple[Iri, list[Individual]]:
+              path_fragment: str, out: list[Individual]) -> Iri:
+        """Append the instance's individual to `out`, then its
+        descendants' in document order, then its group holders."""
         ct = self.resolve_complex(decl.type)
         iri = self.allocate(instance, path_fragment)
         content = self.view.content(ct)
+        slot = len(out)
+        out.append(None)  # this instance's individual, set below
 
         object_assertions: list[tuple[Iri, Iri]] = []
         data_assertions: list[tuple[Iri, str, str]] = []
-        collected: list[Individual] = []
         # one synthetic member holder per group reference, created lazily
-        synthetics: dict[str, tuple[GroupUse, Iri, list, list]] = {}
-
-        def target_lists(use: GroupUse | None):
-            if use is None:
-                return object_assertions, data_assertions
-            if use.path not in synthetics:
-                synth_iri = self.claim(
-                    instance, f"{iri.fragment}.{sanitize_fragment(use.decl.name)}_1"
-                )
-                synthetics[use.path] = (use, synth_iri, [], [])
-                object_assertions.append((self.resolution[use.path], synth_iri))
-            _, _, obj, data = synthetics[use.path]
-            return obj, data
+        holders: dict[str, tuple[GroupUse, Iri, list, list]] = {}
 
         ordinals: dict[str, int] = {}
         for child in instance.child_elements():
             name = child.name.local
-            ordinals[name] = ordinals.get(name, 0) + 1
+            ordinal = ordinals[name] = ordinals.get(name, 0) + 1
             particle, use = content.particles[name][0]
             child_decl = self.schema.element(particle.ref) \
                 if particle.ref is not None else particle.decl
-            obj_sink, data_sink = target_lists(use)
+            if use is None:
+                obj_sink, data_sink = object_assertions, data_assertions
+            else:
+                _, _, obj_sink, data_sink = self.holder(
+                    instance, iri, use, holders, object_assertions)
             prop_iri = self.resolution[self.view.path(particle)]
             if self.resolve_complex(child_decl.type) is not None:
-                child_fragment = f"{path_fragment}.{name}_{ordinals[name]}"
-                child_iri, sub = self.build(child, child_decl, child_fragment)
+                child_iri = self.build(
+                    child, child_decl, f"{path_fragment}.{name}_{ordinal}", out)
                 obj_sink.append((prop_iri, child_iri))
-                collected.extend(sub)
             else:
                 data_sink.append(self.data_assertion(prop_iri, text_content(child)))
 
@@ -143,7 +150,8 @@ class _Populator:
             if name.is_ns_decl:
                 continue
             attr, use = content.attributes[name.local]
-            _, data_sink = target_lists(use)
+            data_sink = data_assertions if use is None else self.holder(
+                instance, iri, use, holders, object_assertions)[3]
             prop_iri = self.resolution[self.view.path(attr)]
             data_sink.append(self.data_assertion(prop_iri, value))
 
@@ -153,17 +161,17 @@ class _Populator:
                 self.data_assertion(self.resolution[text_path], text_content(instance))
             )
 
-        for use, synth_iri, obj, data in synthetics.values():
-            collected.append(Individual(
+        for use, synth_iri, obj, data in holders.values():
+            out.append(Individual(
                 synth_iri, self.resolution[self.view.path(use.decl)],
                 tuple(obj), tuple(data),
             ))
 
-        me = Individual(
+        out[slot] = Individual(
             iri, self.resolution[self.view.path(ct)],
             tuple(object_assertions), tuple(data_assertions),
         )
-        return iri, [me] + collected
+        return iri
 
 
 def populate(
@@ -186,9 +194,7 @@ def populate(
     root_decl = schema.element(doc.root.name.local)
     individuals: list[Individual] = []
     if populator.resolve_complex(root_decl.type) is not None:
-        _, individuals = populator.build(
-            doc.root, root_decl, f"{doc.root.name.local}_1"
-        )
+        populator.build(doc.root, root_decl, f"{doc.root.name.local}_1", individuals)
     return replace(tbox, individuals=tuple(individuals))
 
 

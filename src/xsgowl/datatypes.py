@@ -40,13 +40,16 @@ _BELOW = {
 
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 _DECIMAL_RE = re.compile(r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+)\Z")
+# On ASCII input this matches exactly the strings the loop in is_ncname
+# accepts (str.isalpha/isdigit are A-Za-z and 0-9 there).
+_ASCII_NCNAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9._-]*\Z")
 
 
 def is_ncname(value: str) -> bool:
     """Non-colonized name: letter or underscore, then letters, digits,
     hyphens, underscores, periods; no colon, no whitespace."""
-    if not value:
-        return False
+    if value.isascii():
+        return _ASCII_NCNAME_RE.match(value) is not None
     first = value[0]
     if not (first.isalpha() or first == "_"):
         return False

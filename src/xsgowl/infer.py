@@ -69,6 +69,7 @@ class ElementProfile:
     # bookkeeping, not part of the published profile
     instances: int = 0
     _child_presence: dict[str, int] = field(default_factory=dict)
+    _child_rank: dict[str, int] = field(default_factory=dict)  # in child_order
     _attr_presence: dict[str, int] = field(default_factory=dict)
     _saw_text_leaf: bool = False
     _saw_textless: bool = False
@@ -79,7 +80,7 @@ class ElementProfile:
 def _observe(profile: ElementProfile, e: XmlElement, merge_conflicts: bool):
     profile.instances += 1
     children = e.child_elements()
-    has_text = any(isinstance(c, str) for c in e.children)
+    has_text = len(children) != len(e.children)
 
     is_text_leaf = not children and has_text
     if (children and profile._saw_text_leaf) or (
@@ -119,14 +120,14 @@ def _observe(profile: ElementProfile, e: XmlElement, merge_conflicts: bool):
             instance_order.append(name)
     for name, n in counts.items():
         if name not in profile.child_max:
+            profile._child_rank[name] = len(profile.child_order)
             profile.child_order.append(name)
             profile.child_max[name] = 1
         if n >= 2:
             profile.child_max[name] = UNBOUNDED
         profile._child_presence[name] = profile._child_presence.get(name, 0) + 1
     if not profile._order_warned:
-        index = {n: i for i, n in enumerate(profile.child_order)}
-        ranks = [index[n] for n in instance_order]
+        ranks = [profile._child_rank[n] for n in instance_order]
         if any(a > b for a, b in zip(ranks, ranks[1:])):
             logger.warning(
                 "children of %r appear in conflicting orders; keeping "

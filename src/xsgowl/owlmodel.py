@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .datatypes import lexically_valid
+from .datatypes import is_ncname, lexically_valid
 
 OWL_NS = "http://www.w3.org/2002/07/owl#"
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -136,6 +136,8 @@ class OntologyModel:
 def sanitize_fragment(name: str) -> str:
     """Force a name into the NCName production: offending characters
     become underscores, a leading non-letter gets one prepended."""
+    if is_ncname(name):  # the loop below would return it unchanged
+        return name
     cleaned = "".join(
         c if (c.isalpha() or c.isdigit() or c in ".-_") else "_" for c in name
     )

@@ -50,9 +50,10 @@ class XmlElement:
     source_position: tuple[int, int] = field(compare=False, default=(0, 0))
 
     def attribute(self, local: str) -> str | None:
-        """Value of the first attribute with this local name, if any."""
+        """Value of the first attribute with this local name, if any;
+        namespace declarations (xmlns, xmlns:*) are not attributes."""
         for name, value in self.attributes:
-            if name.local == local:
+            if name.local == local and not name.is_ns_decl:
                 return value
         return None
 
@@ -76,7 +77,10 @@ class XmlDocument:
 
 def text_content(e: XmlElement) -> str:
     """Concatenated direct text runs, trimmed of surrounding whitespace."""
-    return "".join(c for c in e.children if isinstance(c, str)).strip()
+    children = e.children
+    if len(children) == 1 and isinstance(children[0], str):
+        return children[0].strip()  # a text leaf: one run, nothing to join
+    return "".join([c for c in children if isinstance(c, str)]).strip()
 
 
 def _split_name(raw: str, pos: tuple[int, int]) -> XmlName:
@@ -111,6 +115,8 @@ class _TreeBuilder:
         self.parser.StartCdataSectionHandler = self.cdata
         self.stack: list[_Frame] = []
         self.root: XmlElement | None = None
+        # one XmlName per distinct raw name, shared by every use in the parse
+        self.names: dict[str, XmlName] = {}
 
     def pos(self) -> tuple[int, int]:
         return (self.parser.CurrentLineNumber, self.parser.CurrentColumnNumber + 1)
@@ -125,13 +131,19 @@ class _TreeBuilder:
     def cdata(self):
         raise ParseError(*self.pos(), "CDATA sections are not supported")
 
+    def intern(self, raw: str, pos: tuple[int, int]) -> XmlName:
+        name = self.names.get(raw)
+        if name is None:
+            name = self.names[raw] = _split_name(raw, pos)
+        return name
+
     def start(self, raw_name, raw_attrs):
         pos = self.pos()
-        name = _split_name(raw_name, pos)
-        attrs = []
-        for i in range(0, len(raw_attrs), 2):
-            attrs.append((_split_name(raw_attrs[i], pos), raw_attrs[i + 1]))
-        self.stack.append(_Frame(name, attrs, pos))
+        attrs = tuple(
+            (self.intern(raw_attrs[i], pos), raw_attrs[i + 1])
+            for i in range(0, len(raw_attrs), 2)
+        ) if raw_attrs else ()
+        self.stack.append(_Frame(self.intern(raw_name, pos), attrs, pos))
 
     def text(self, data):
         children = self.stack[-1].children
@@ -146,7 +158,7 @@ class _TreeBuilder:
         kept = tuple(
             c for c in frame.children if not isinstance(c, str) or c.strip()
         )
-        element = XmlElement(frame.name, tuple(frame.attrs), kept, frame.pos)
+        element = XmlElement(frame.name, frame.attrs, kept, frame.pos)
         if self.stack:
             self.stack[-1].children.append(element)
         else:
@@ -161,14 +173,21 @@ def parse_xml(data: bytes, source_id: str) -> XmlDocument:
     constructs listed in the module docstring.
     """
     builder = _TreeBuilder()
+    parser = builder.parser
     try:
-        builder.parser.Parse(data, True)
+        parser.Parse(data, True)
     except xml.parsers.expat.ExpatError as exc:
         raise ParseError(
-            builder.parser.ErrorLineNumber,
-            builder.parser.ErrorColumnNumber + 1,
-            xml.parsers.expat.errors.messages[builder.parser.ErrorCode],
+            parser.ErrorLineNumber,
+            parser.ErrorColumnNumber + 1,
+            xml.parsers.expat.errors.messages[parser.ErrorCode],
         ) from None
+    finally:
+        # The parser's handlers are bound to the builder, which holds the
+        # parser and the tree. Breaking that cycle frees the builder on
+        # return, so the tree lives exactly as long as the document, not
+        # until the next full garbage collection.
+        builder.parser = None
     assert builder.root is not None
     return XmlDocument(builder.root, source_id)
 

@@ -864,15 +864,44 @@ class ValidationReport:
 class _Validator:
     def __init__(self, model: SchemaModel):
         self.model = model
+        self.view = model.resolved
         self.violations: list[Violation] = []
+        self.tables: dict[int, tuple[dict, tuple[str, ...]]] = {}  # `occurrence`
+        # Where the visit is: the root's name, then a name and a same-name
+        # sibling ordinal per level. It becomes a path string only when a
+        # violation is reported, so a valid document formats none.
+        self.trail: list[str | int] = []
 
-    def complain(self, kind: str, path: str, message: str):
-        self.violations.append(Violation(kind, path, message))
+    def complain(self, kind: str, message: str, suffix: str = ""):
+        trail = self.trail
+        steps = "".join(
+            f"/{trail[i]}[{trail[i + 1]}]" for i in range(1, len(trail), 2)
+        )
+        self.violations.append(Violation(kind, f"/{trail[0]}{steps}{suffix}", message))
 
     def resolve_type(self, ref) -> ComplexType | SimpleType | BuiltinRef:
         if isinstance(ref, NamedTypeRef):
             return self.model.type_named(ref.name)
         return ref
+
+    def occurrence(self, content: TypeContent):
+        """The type content's occurrence table, built on first use: name ->
+        (rank, minimum, maximum) per particle name, and the names whose
+        minimum is above 0. The rank is the name's position in
+        `content.particles`; minimum and maximum sum over its members, and
+        maximum is None when any member is unbounded. Held by the
+        validator, not the schema, so the tables end with the validation."""
+        found = self.tables.get(id(content))
+        if found is None:
+            bounds = {
+                name: (rank, sum(p.min_occurs for p, _ in members),
+                       None if any(p.max_occurs is None for p, _ in members)
+                       else sum(p.max_occurs for p, _ in members))
+                for rank, (name, members) in enumerate(content.particles.items())
+            }
+            required = tuple(name for name, (_, low, _) in bounds.items() if low > 0)
+            found = self.tables[id(content)] = (bounds, required)
+        return found
 
     def lexical_name(self, ref) -> str | None:
         """Built-in local name governing a simple type's lexical space."""
@@ -883,12 +912,12 @@ class _Validator:
             return t.base
         return None
 
-    def check_simple_value(self, value: str, type_ref, path: str):
+    def check_simple_value(self, value: str, type_ref, suffix: str = ""):
         lex = self.lexical_name(type_ref)
         if lex is not None and not lexically_valid(value, lex):
-            self.complain("datatype", path, f"value {value!r} is not a valid xs:{lex}")
+            self.complain("datatype", f"value {value!r} is not a valid xs:{lex}", suffix)
 
-    def visit(self, instance: XmlElement, type_ref, path: str):
+    def visit(self, instance: XmlElement, type_ref):
         resolved = self.resolve_type(type_ref)
         if isinstance(resolved, BuiltinRef) and resolved.name == "anyType":
             return
@@ -896,18 +925,20 @@ class _Validator:
             for name, _ in instance.attributes:
                 if not name.is_ns_decl:
                     self.complain(
-                        "undeclared-attribute", path,
+                        "undeclared-attribute",
                         f"attribute {name.local!r} not allowed on simple-typed element",
                     )
-            for child in instance.child_elements():
-                self.complain(
-                    "unknown-element", path,
-                    f"element {child.name.local!r} not allowed inside simple-typed element",
-                )
-            self.check_simple_value(text_content(instance), type_ref, path)
+            for child in instance.children:
+                if isinstance(child, XmlElement):
+                    self.complain(
+                        "unknown-element",
+                        f"element {child.name.local!r} not allowed inside "
+                        f"simple-typed element",
+                    )
+            self.check_simple_value(text_content(instance), type_ref)
             return
 
-        content = self.model.resolved.content(resolved)
+        content = self.view.content(resolved)
         attrs = content.attributes
 
         for name, value in instance.attributes:
@@ -915,66 +946,75 @@ class _Validator:
                 continue
             member = attrs.get(name.local)
             if member is None:
-                self.complain(
-                    "undeclared-attribute", path, f"undeclared attribute {name.local!r}"
-                )
+                self.complain("undeclared-attribute", f"undeclared attribute {name.local!r}")
             else:
-                self.check_simple_value(value, member[0].datatype, f"{path}/@{name.local}")
+                self.check_simple_value(value, member[0].datatype, f"/@{name.local}")
         for name, (decl, _) in attrs.items():
             if decl.required and instance.attribute(name) is None:
-                self.complain(
-                    "missing-attribute", path, f"required attribute {name!r} is missing"
-                )
+                self.complain("missing-attribute", f"required attribute {name!r} is missing")
 
-        if not content.mixed_types and any(isinstance(c, str) for c in instance.children):
-            self.complain("unexpected-text", path, "text content in non-mixed type")
+        children = instance.child_elements()
+        if not content.mixed_types and len(children) != len(instance.children):
+            self.complain("unexpected-text", "text content in non-mixed type")
 
         counts: dict[str, int] = {}
-        ordinals: dict[str, int] = {}
-        for child in instance.child_elements():
-            counts[child.name.local] = counts.get(child.name.local, 0) + 1
-        for name, members in content.particles.items():
+        for child in children:
+            name = child.name.local
+            counts[name] = counts.get(name, 0) + 1
+        # Only required names and names present can be out of bounds, so
+        # the check costs no more than the instance, however many optional
+        # names the type declares. Reports follow particle order.
+        bounds, required = self.occurrence(content)
+        off = [name for name in required if name not in counts]
+        for name, n in counts.items():
+            found = bounds.get(name)
+            if found is not None and (
+                n < found[1] or (found[2] is not None and n > found[2])
+            ):
+                off.append(name)
+        if off:
+            off.sort(key=lambda name: bounds[name][0])
+        for name in off:
             n = counts.get(name, 0)
-            min_total = sum(p.min_occurs for p, _ in members)
-            max_total = None if any(p.max_occurs is None for p, _ in members) \
-                else sum(p.max_occurs for p, _ in members)
-            if n == 0 and min_total > 0:
-                self.complain(
-                    "missing-child", path, f"required child {name!r} is missing"
-                )
+            _, min_total, max_total = bounds[name]
+            if n == 0:
+                self.complain("missing-child", f"required child {name!r} is missing")
             elif n < min_total:
                 self.complain(
-                    "occurrence", path,
-                    f"child {name!r} occurs {n} times, minimum is {min_total}",
+                    "occurrence", f"child {name!r} occurs {n} times, minimum is {min_total}",
                 )
-            elif max_total is not None and n > max_total:
+            else:
                 self.complain(
-                    "occurrence", path,
-                    f"child {name!r} occurs {n} times, maximum is {max_total}",
+                    "occurrence", f"child {name!r} occurs {n} times, maximum is {max_total}",
                 )
-        for child in instance.child_elements():
+
+        particles = content.particles
+        trail = self.trail
+        ordinals: dict[str, int] = {}
+        for child in children:
             name = child.name.local
-            ordinals[name] = ordinals.get(name, 0) + 1
-            child_path = f"{path}/{name}[{ordinals[name]}]"
-            members = content.particles.get(name)
+            ordinal = ordinals[name] = ordinals.get(name, 0) + 1
+            trail.append(name)
+            trail.append(ordinal)
+            members = particles.get(name)
             if members is None:
-                self.complain("unknown-element", child_path, f"unexpected element {name!r}")
-                continue
-            p = members[0][0]
-            child_type = self.model.element(p.ref).type if p.ref is not None else p.decl.type
-            self.visit(child, child_type, child_path)
+                self.complain("unknown-element", f"unexpected element {name!r}")
+            else:
+                p = members[0][0]
+                self.visit(
+                    child, self.model.element(p.ref).type if p.ref is not None else p.decl.type
+                )
+            del trail[-2:]
 
 
 def validate(doc: XmlDocument, schema: SchemaModel) -> ValidationReport:
     """Structurally check a document against the schema; an empty report
     means the document conforms (within the supported construct set)."""
     v = _Validator(schema)
+    v.trail.append(doc.root.name.local)
     root_decl = schema.element(doc.root.name.local)
     if root_decl is None:
-        v.complain(
-            "unknown-element", f"/{doc.root.name.local}",
-            f"no global element {doc.root.name.local!r}",
-        )
+        v.complain("unknown-element", f"no global element {doc.root.name.local!r}")
     else:
-        v.visit(doc.root, root_decl.type, f"/{doc.root.name.local}")
+        v.visit(doc.root, root_decl.type)
     return ValidationReport(v.violations)

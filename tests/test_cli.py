@@ -134,6 +134,19 @@ def test_invalid_document_exit_3(tmp_path, monkeypatch, capsys):
     assert "does not validate" in capsys.readouterr().err
 
 
+def test_namespace_declaration_is_not_an_id(tmp_path):
+    # xmlns:id declares a prefix; it is no id attribute to name individuals by
+    src = tmp_path / "r.xml"
+    src.write_bytes(b'<r><rec xmlns:id="urn:a"><v>1</v></rec>'
+                    b'<rec xmlns:id="urn:a"><v>2</v></rec></r>')
+    code = run(["generate", str(src), "--out-dir", str(tmp_path),
+                "--with-instances"])
+    assert code == EXIT_OK
+    ttl = (tmp_path / "r.ttl").read_text()
+    assert ":r_1.rec_1 " in ttl and ":r_1.rec_2 " in ttl
+    assert "urn_a" not in ttl
+
+
 def test_usage_error_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["generate"])  # missing inputs

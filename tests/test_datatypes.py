@@ -14,6 +14,7 @@ from xsgowl.datatypes import (
     join_datatype,
     lexically_valid,
 )
+from xsgowl.owlmodel import sanitize_fragment
 
 
 @pytest.mark.parametrize("value,expected", [
@@ -98,3 +99,47 @@ def test_is_ncname():
     assert not is_ncname("1a")
     assert not is_ncname("a:b")
     assert not is_ncname("a b")
+
+
+# --- ASCII fast path against the per-character definition --------------------
+
+
+def reference_is_ncname(value: str) -> bool:
+    if not value:
+        return False
+    if not (value[0].isalpha() or value[0] == "_"):
+        return False
+    return all(c.isalpha() or c.isdigit() or c in ".-_" for c in value[1:])
+
+
+def reference_sanitize(name: str) -> str:
+    cleaned = "".join(
+        c if (c.isalpha() or c.isdigit() or c in ".-_") else "_" for c in name
+    )
+    if not cleaned:
+        cleaned = "_"
+    if not (cleaned[0].isalpha() or cleaned[0] == "_"):
+        cleaned = "_" + cleaned
+    return cleaned
+
+
+NON_ASCII = ["é", "٣", "²", "·", "Ⅻ"]
+NCNAME_CASES = (
+    [""]
+    + [f"{c}{tail}" for c in map(chr, range(128)) for tail in ("", "a", "1")]
+    + [f"{head}{c}" for c in map(chr, range(128)) for head in ("a", "_", "1", "a.b")]
+    + [f"{c}x" for c in NON_ASCII] + [f"x{c}" for c in NON_ASCII]
+    + [f"_{c}" for c in NON_ASCII] + NON_ASCII
+    + ["naïve-name", "é1:b", "a²b", "٣a", "Ⅻ.x", "x·y z", "ℵ0", "Ωmega_٣"]
+)
+
+
+def test_is_ncname_matches_per_character_reference():
+    mismatched = [v for v in NCNAME_CASES if is_ncname(v) != reference_is_ncname(v)]
+    assert mismatched == []
+
+
+def test_sanitize_fragment_matches_per_character_reference():
+    mismatched = [v for v in NCNAME_CASES
+                  if sanitize_fragment(v) != reference_sanitize(v)]
+    assert mismatched == []

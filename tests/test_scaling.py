@@ -1,4 +1,4 @@
-"""Deterministic scaling guard for `generate`.
+"""Deterministic scaling guard for `generate` and `infer-schema`.
 
 Counts the line events the interpreter reports inside the xsgowl package,
 plus the package's calls into Python code outside it, while
@@ -55,6 +55,23 @@ def item_schema(n: int) -> str:
     )
 
 
+def records_document(n: int) -> str:
+    """n `<rec id><name/><val/></rec>` records under one root: instance
+    volume, not schema size, grows."""
+    records = "".join(
+        f'<rec id="r{i:05d}"><name>n{i:05d}</name><val>{10000 + i}</val></rec>'
+        for i in range(n)
+    )
+    return f"<recs>{records}</recs>\n"
+
+
+def sparse_records_document(n: int) -> str:
+    """n records, each with one child whose name no other record uses, so
+    the `rec` profile gains a new optional child on every instance."""
+    records = "".join(f"<rec><f{i:05d}>1</f{i:05d}></rec>" for i in range(n))
+    return f"<r>{records}</r>\n"
+
+
 def work_events(run) -> int:
     """Line events inside the package while `run()` runs, plus the calls
     the package makes into Python code outside it (dataclass-generated
@@ -96,6 +113,10 @@ def assert_linear(counts: list[int]):
                  id="wide-instances"),
     pytest.param(wide_document, ["--literal-domains"], id="wide-literal-domains"),
     pytest.param(item_schema, [], id="xsd-items"),
+    pytest.param(records_document, ["--with-instances", "--format", "both"],
+                 id="records-instances"),
+    pytest.param(sparse_records_document, ["--with-instances"],
+                 id="sparse-records-instances"),
 ])
 def test_generate_work_grows_linearly(tmp_path, source, flags):
     suffix = ".xsd" if source is item_schema else ".xml"
@@ -105,6 +126,20 @@ def test_generate_work_grows_linearly(tmp_path, source, flags):
         path = tmp_path / f"in{n}{suffix}"
         path.write_text(source(n))
         argv = ["generate", str(path), "--out-dir", str(tmp_path / f"out{n}")] + flags
+        counts.append(work_events(lambda: exit_codes.append(cli.main(argv))))
+    assert exit_codes == [0, 0]
+    assert_linear(counts)
+
+
+
+def test_infer_schema_many_optional_children_grows_linearly(tmp_path):
+    # inference alone: in `generate` the rest of the pipeline hides its share
+    exit_codes = []
+    counts = []
+    for n in SIZES:
+        path = tmp_path / f"in{n}.xml"
+        path.write_text(sparse_records_document(n))
+        argv = ["infer-schema", str(path), str(tmp_path / f"out{n}.xsd")]
         counts.append(work_events(lambda: exit_codes.append(cli.main(argv))))
     assert exit_codes == [0, 0]
     assert_linear(counts)

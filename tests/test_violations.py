@@ -1,0 +1,211 @@
+"""Pinned validator messages on mutated random documents.
+
+Each `random_document(seed)` validates against the schema inferred from
+it. Every mutation below breaks one copy of it at a seeded random site,
+and the test compares one SHA-256 per seed and mutation over the full
+`[(kind, path, message)]` list with data/violation_digests.json, so a
+change to a violation's kind, path, message or order shows. A mutation
+with no site in a document is recorded as "n/a". After a deliberate
+message change, rewrite the file with
+
+    PYTHONPATH=src:tests python tests/test_violations.py --write
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from xsgowl.infer import infer_schema
+from xsgowl.xmldoc import XmlElement, XmlName
+from xsgowl.xsdmodel import BuiltinRef, ComplexType, validate
+from randgen import random_document
+
+DIGESTS = Path(__file__).parent / "data" / "violation_digests.json"
+SEEDS = range(100)
+
+
+def walk(root: XmlElement):
+    """(index path, element, same-name sibling ordinal) in preorder."""
+    stack = [((), root, 1)]
+    while stack:
+        where, el, ordinal = stack.pop()
+        yield where, el, ordinal
+        seen: dict[str, int] = {}
+        found = []
+        for i, c in enumerate(el.children):
+            if isinstance(c, XmlElement):
+                seen[c.name.local] = seen.get(c.name.local, 0) + 1
+                found.append((where + (i,), c, seen[c.name.local]))
+        stack.extend(reversed(found))
+
+
+def edit(el: XmlElement, where: tuple[int, ...], change) -> XmlElement:
+    """A copy of the tree with the element at `where` replaced by
+    change(element)."""
+    if not where:
+        return change(el)
+    children = list(el.children)
+    children[where[0]] = edit(children[where[0]], where[1:], change)
+    return replace(el, children=tuple(children))
+
+
+def type_of(schema, el: XmlElement):
+    decl = schema.element(el.name.local)
+    return None if decl is None else decl.type  # None: an added `extra`
+
+
+def particles(schema, el: XmlElement):
+    t = type_of(schema, el)
+    return t.particles if isinstance(t, ComplexType) else ()
+
+
+def add_attribute(el):
+    return replace(el, attributes=el.attributes + ((XmlName(None, "zz"), "1"),))
+
+
+# Each mutation: (expected kind, sites(schema, root) -> [(where, change)]).
+
+
+def drop_required(schema, root):
+    return [
+        (where, lambda el, n=p.ref: replace(el, children=tuple(
+            c for c in el.children
+            if not (isinstance(c, XmlElement) and c.name.local == n))))
+        for where, el, _ in walk(root)
+        for p in particles(schema, el) if p.min_occurs >= 1
+    ]
+
+
+def extra_unknown_child(schema, root):
+    extra = XmlElement(XmlName(None, "extra"), (), ())
+    return [(where, lambda el: replace(el, children=el.children + (extra,)))
+            for where, _, _ in walk(root)]
+
+
+def extra_repeated_child(schema, root):
+    sites = []
+    for where, el, _ in walk(root):
+        single = {p.ref for p in particles(schema, el) if p.max_occurs == 1}
+        for c in el.children:
+            if isinstance(c, XmlElement) and c.name.local in single:
+                sites.append((where, lambda el, c=c: replace(
+                    el, children=el.children + (c,))))
+    return sites
+
+
+def undeclared_attribute(schema, root):
+    return [(where, add_attribute) for where, _, _ in walk(root)]
+
+
+def bad_integer(schema, root):
+    sites = []
+    for where, el, _ in walk(root):
+        t = type_of(schema, el)
+        if isinstance(t, BuiltinRef) and t.name == "integer":
+            sites.append((where, lambda el: replace(el, children=("x1",))))
+        if isinstance(t, ComplexType):
+            for a in t.attributes:
+                if a.datatype.name == "integer" and el.attribute(a.name) is not None:
+                    sites.append((where, lambda el, n=a.name: replace(el, attributes=tuple(
+                        (k, "x1" if k.local == n else v) for k, v in el.attributes))))
+    return sites
+
+
+def text_in_non_mixed(schema, root):
+    return [(where, lambda el: replace(el, children=("stray",) + el.children))
+            for where, el, _ in walk(root)
+            if isinstance(type_of(schema, el), ComplexType)
+            and not type_of(schema, el).mixed]
+
+
+def later_sibling(schema, root):
+    return [(where, add_attribute) for where, _, ordinal in walk(root) if ordinal > 1]
+
+
+MUTATIONS = {
+    "drop-required-child": ("missing-child", drop_required),
+    "extra-unknown-child": ("unknown-element", extra_unknown_child),
+    "extra-repeated-child": ("occurrence", extra_repeated_child),
+    "undeclared-attribute": ("undeclared-attribute", undeclared_attribute),
+    "bad-integer": ("datatype", bad_integer),
+    "text-in-non-mixed": ("unexpected-text", text_in_non_mixed),
+    "later-sibling": ("undeclared-attribute", later_sibling),
+}
+
+
+def mutated_reports():
+    """{"seed/mutation": [(kind, path, message), ...] or None}; "seed/all"
+    applies every mutation that has a site, one after another."""
+    reports = {}
+    for seed in SEEDS:
+        doc = random_document(seed)
+        schema = infer_schema([doc])
+        assert validate(doc, schema).ok, f"seed {seed}"
+        rng = random.Random(seed)
+        combined = doc.root
+        for label, (_, sites) in MUTATIONS.items():
+            found = sites(schema, doc.root)
+            if not found:
+                reports[f"{seed}/{label}"] = None
+                continue
+            where, change = rng.choice(found)
+            root = edit(doc.root, where, change)
+            report = validate(replace(doc, root=root), schema)
+            reports[f"{seed}/{label}"] = [
+                (v.kind, v.path, v.message) for v in report.violations
+            ]
+            again = sites(schema, combined)
+            if again:
+                where, change = rng.choice(again)
+                combined = edit(combined, where, change)
+        report = validate(replace(doc, root=combined), schema)
+        reports[f"{seed}/all"] = [(v.kind, v.path, v.message) for v in report.violations]
+    return reports
+
+
+def digest(violations) -> str:
+    if violations is None:
+        return "n/a"
+    return hashlib.sha256(json.dumps(violations).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def reports():
+    return mutated_reports()
+
+
+def test_violations_match_digests(reports):
+    expected = json.loads(DIGESTS.read_text())
+    actual = {key: digest(v) for key, v in reports.items()}
+    changed = sorted(k for k in expected if actual.get(k) != expected[k])
+    assert actual.keys() == expected.keys()
+    assert changed == [], f"violations changed for {changed[:10]}"
+
+
+@pytest.mark.parametrize("label", sorted(MUTATIONS))
+def test_each_mutation_reports_its_kind(reports, label):
+    kind = MUTATIONS[label][0]
+    applied = {k: v for k, v in reports.items() if k.endswith(f"/{label}") and v is not None}
+    assert len(applied) >= 20, f"{label}: only {len(applied)} seeds have a site"
+    for key, violations in applied.items():
+        assert kind in [v[0] for v in violations], f"{key}: {violations}"
+
+
+def test_later_sibling_paths_carry_ordinals(reports):
+    paths = [v[1] for key, vs in reports.items() if key.endswith("/later-sibling")
+             for v in vs or ()]
+    assert any("[2]" in p or "[3]" in p for p in paths)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    table = {key: digest(v) for key, v in mutated_reports().items()}
+    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from xsgowl.xmldoc import (
@@ -61,6 +64,27 @@ def test_source_positions():
     doc = parse_xml(b"<a>\n  <b/>\n</a>", "t")
     b = doc.root.child_elements()[0]
     assert b.source_position[0] == 2
+
+
+def test_names_shared_within_a_parse():
+    root = parse_xml(b'<r><a x="1"/><a x="2"/></r>', "t").root
+    first, second = root.child_elements()
+    assert first.name is second.name
+    assert first.attributes[0][0] is second.attributes[0][0]
+
+
+def test_tree_freed_with_its_document():
+    # no reference cycle may keep the tree until the cyclic collector runs
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        doc = parse_xml(b"<r><a>1</a></r>", "t")
+        root = weakref.ref(doc.root)
+        del doc
+        assert root() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_text_content_single_run():

@@ -208,6 +208,17 @@ def test_missing_required_attribute(bibliography_single_xml, bibliography_xsd):
     assert any(v.kind == "missing-attribute" for v in report.violations)
 
 
+def test_namespace_declaration_is_not_a_required_attribute():
+    schema = read_schema(b"""<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+      <xs:element name="r"><xs:complexType>
+        <xs:attribute name="k" type="xs:string" use="required"/>
+      </xs:complexType></xs:element>
+    </xs:schema>""", "t")
+    assert validate(parse_xml(b'<r k="v"/>', "d"), schema).ok
+    report = validate(parse_xml(b'<r xmlns:k="urn:x"/>', "d"), schema)
+    assert [(v.kind, v.path) for v in report.violations] == [("missing-attribute", "/r")]
+
+
 def test_occurrence_violation_above_max():
     schema = read_schema(b"""<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
       <xs:element name="r"><xs:complexType><xs:sequence>
