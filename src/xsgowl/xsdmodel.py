@@ -9,6 +9,13 @@ constructs (xs:choice, xs:all, substitution groups, xs:any, imports,
 simpleContent, ...) raise SchemaError naming the construct rather than
 being dropped.
 
+`walk` is the one traversal of a model's components: an explicit stack
+that yields enter and leave events in document order, each with the
+component's parent. The resolved view, the reference checks, the XSD
+writer and the schema graph builder (xsg.py) all consume it, so no
+schema depth or type chain runs into Python's recursion limit. The
+reader keeps its own explicit stack over the XSD's XML elements.
+
 `SchemaModel.resolved` is the one derived view of a model: each
 component's schema path and each complex type's flattened content. The
 validator here, the TBox generator and instance population all read it.
@@ -180,12 +187,68 @@ class SchemaModel:
         """The schema facts every later stage reads, derived once."""
         return ResolvedSchema(self)
 
+    @property
+    def global_components(self) -> tuple:
+        """Every global declaration: elements, types, groups, attributeGroups."""
+        return (self.global_elements + self.global_types + self.element_groups
+                + self.attribute_groups)
+
 
 def _first_wins(components) -> dict:
     index = {}
     for c in components:
         index.setdefault(c.name, c)
     return index
+
+
+# ---------------------------------------------------------------------------
+# the component walk
+
+ENTER = "enter"
+LEAVE = "leave"
+
+_GLOBAL_TAGS = {ElementDecl: "element", ComplexType: "complexType", SimpleType: "simpleType",
+                GroupDecl: "group", AttrGroupDecl: "attributeGroup"}
+
+
+def _children(c) -> tuple:
+    kind = type(c)
+    if kind is ElementDecl:
+        return (c.type,) if type(c.type) is ComplexType else ()
+    if kind is Particle:
+        return () if c.decl is None else (c.decl,)
+    if kind is ComplexType:
+        return c.particles + c.attributes
+    if kind is GroupDecl:
+        return c.particles
+    if kind is AttrGroupDecl:
+        return c.attributes
+    return ()
+
+
+def walk(roots):
+    """The global components `roots` and every component inside them,
+    depth first in document order, on an explicit stack.
+
+    Yields (ENTER, component, parent) before a component's children and
+    (LEAVE, component, parent) after them; a root's parent is None. An
+    element's child is its anonymous complex type; a complex type's
+    children are its particles, then its attributes; a particle's child
+    is its local element declaration."""
+    stack = [(None, None, iter(roots))]  # the roots' frame yields no events
+    while stack:
+        c, parent, children = stack[-1]
+        for child in children:
+            yield ENTER, child, c
+            below = _children(child)
+            if below:  # resume `children` once the child's walk is done
+                stack.append((child, c, iter(below)))
+                break
+            yield LEAVE, child, c
+        else:
+            stack.pop()
+            if c is not None:
+                yield LEAVE, c, parent
 
 
 # ---------------------------------------------------------------------------
@@ -217,46 +280,34 @@ class ResolvedSchema:
     records are the ones population looks up."""
 
     def __init__(self, model: SchemaModel):
-        self.model = model
+        # The name indexes `_flatten` reads, not the model: the model caches
+        # this view, and a reference back would make a cycle.
+        self._types = model._types
+        self._groups = model._groups
+        self._attr_groups = model._attr_groups
         self._paths: dict[int, str] = {}
         self._bodies: dict[int, str] = {}
         self._content: dict[int, TypeContent] = {}
-        for e in model.global_elements:
-            self._walk_element(e, f"/xs:schema/xs:element[{e.name}]")
-        for t in model.global_types:
-            if isinstance(t, ComplexType):
-                self._walk_type(t, f"/xs:schema/xs:complexType[{t.name}]")
-            else:
-                self._paths.setdefault(id(t), f"/xs:schema/xs:simpleType[{t.name}]")
-        for g in model.element_groups:
-            path = f"/xs:schema/xs:group[{g.name}]"
-            self._paths.setdefault(id(g), path)
-            self._walk_members(g.particles, (), path)
-        for ag in model.attribute_groups:
-            path = f"/xs:schema/xs:attributeGroup[{ag.name}]"
-            self._paths.setdefault(id(ag), path)
-            self._walk_members((), ag.attributes, path)
-
-    def _walk_element(self, decl: ElementDecl, path: str):
-        self._paths.setdefault(id(decl), path)
-        if isinstance(decl.type, ComplexType):
-            self._walk_type(decl.type, f"{path}/xs:complexType")
-
-    def _walk_type(self, ct: ComplexType, path: str):
-        self._paths.setdefault(id(ct), path)
-        if ct.derivation is not None:
-            path = f"{path}/xs:complexContent/xs:{ct.derivation[0]}"
-        self._bodies.setdefault(id(ct), path)
-        self._walk_members(ct.particles, ct.attributes, path)
-
-    def _walk_members(self, particles, attributes, path: str):
-        for p in particles:
-            ppath = f"{path}/xs:sequence/xs:element[{p.name}]"
-            self._paths.setdefault(id(p), ppath)
-            if p.decl is not None:
-                self._walk_element(p.decl, ppath)
-        for a in attributes:
-            self._paths.setdefault(id(a), f"{path}/xs:attribute[{a.name}]")
+        paths, bodies = self._paths, self._bodies
+        for event, c, parent in walk(model.global_components):
+            if event is LEAVE:
+                continue
+            kind = type(c)
+            if parent is None:
+                path = f"/xs:schema/xs:{_GLOBAL_TAGS[kind]}[{c.name}]"
+            else:  # under the parent's path, or under a complex type's body
+                path = (bodies if type(parent) is ComplexType else paths)[id(parent)]
+                if kind is Particle:
+                    path = f"{path}/xs:sequence/xs:element[{c.name}]"
+                elif kind is AttrDecl:
+                    path = f"{path}/xs:attribute[{c.name}]"
+                elif kind is ComplexType:
+                    path += "/xs:complexType"
+                # a particle's local element declaration shares its path
+            path = paths.setdefault(id(c), path)
+            if kind is ComplexType:
+                bodies.setdefault(id(c), path if c.derivation is None
+                                  else f"{path}/xs:complexContent/xs:{c.derivation[0]}")
 
     def path(self, component) -> str:
         return self._paths[id(component)]
@@ -281,21 +332,21 @@ class ResolvedSchema:
     def _flatten(self, ct: ComplexType) -> TypeContent:
         chain = [ct]  # most-derived first; extension adds to its base
         while chain[-1].derivation is not None and chain[-1].derivation[0] == "extension":
-            chain.append(self.model.type_named(chain[-1].derivation[1]))
+            chain.append(self._types.get(chain[-1].derivation[1]))
         particles: dict[str, list[tuple[Particle, GroupUse | None]]] = {}
         attrs: dict[str, tuple[AttrDecl, GroupUse | None]] = {}
         for t in reversed(chain):
             for p in t.particles:
                 particles.setdefault(p.name, []).append((p, None))
             for g in t.group_refs:
-                decl = self.model.group(g)
+                decl = self._groups.get(g)
                 use = GroupUse(decl, self.ref_path(t, decl))
                 for p in decl.particles:
                     particles.setdefault(p.name, []).append((p, use))
             for a in t.attributes:
                 attrs.setdefault(a.name, (a, None))
             for ag in t.attr_group_refs:
-                decl = self.model.attr_group(ag)
+                decl = self._attr_groups.get(ag)
                 use = GroupUse(decl, self.ref_path(t, decl))
                 for a in decl.attributes:
                     attrs.setdefault(a.name, (a, use))
@@ -320,77 +371,71 @@ def _check_references(model: SchemaModel) -> None:
                 raise SchemaError(None, f"duplicate global {kind} name {n!r}")
             seen.add(n)
 
-    def check_type_ref(ref, where: str, position):
-        if isinstance(ref, BuiltinRef):
-            return
-        target = model.type_named(ref.name)
-        if target is None:
-            raise SchemaError(position, f"unresolved type reference {ref.name!r} in {where}")
-
-    def check_particles(particles, where: str):
-        for p in particles:
-            if p.ref is not None:
-                if model.element(p.ref) is None:
-                    raise SchemaError(None, f"unresolved element reference {p.ref!r} in {where}")
-            else:
-                check_element(p.decl)
-
-    def check_complex(ct: ComplexType, where: str):
-        check_particles(ct.particles, where)
-        for a in ct.attributes:
-            check_type_ref(a.datatype, f"attribute {a.name!r} of {where}", a.position)
-            if isinstance(a.datatype, NamedTypeRef):
-                target = model.type_named(a.datatype.name)
-                if not isinstance(target, SimpleType):
+    # how messages name each open complex type and group
+    context: dict[int, str] = {}
+    for event, c, parent in walk(model.global_components):
+        kind = type(c)
+        if event is LEAVE:
+            if kind is not ComplexType:
+                continue
+            where = context[id(c)]
+            for g in c.group_refs:
+                if model.group(g) is None:
+                    raise SchemaError(c.position, f"unresolved group reference {g!r} in {where}")
+            for g in c.attr_group_refs:
+                if model.attr_group(g) is None:
                     raise SchemaError(
-                        a.position,
-                        f"attribute {a.name!r} of {where} must reference a simple type",
+                        c.position, f"unresolved attributeGroup reference {g!r} in {where}"
                     )
-        for g in ct.group_refs:
-            if model.group(g) is None:
-                raise SchemaError(ct.position, f"unresolved group reference {g!r} in {where}")
-        for g in ct.attr_group_refs:
-            if model.attr_group(g) is None:
+            if c.derivation is not None:
+                base = model.type_named(c.derivation[1])
+                if not isinstance(base, ComplexType):
+                    raise SchemaError(
+                        c.position,
+                        f"derivation base {c.derivation[1]!r} of {where} is not a complex type",
+                    )
+        elif kind is Particle:
+            if c.ref is not None and model.element(c.ref) is None:
                 raise SchemaError(
-                    ct.position, f"unresolved attributeGroup reference {g!r} in {where}"
+                    None, f"unresolved element reference {c.ref!r} in {context[id(parent)]}"
                 )
-        if ct.derivation is not None:
-            base = model.type_named(ct.derivation[1])
-            if not isinstance(base, ComplexType):
-                raise SchemaError(
-                    ct.position,
-                    f"derivation base {ct.derivation[1]!r} of {where} is not a complex type",
-                )
+        elif kind is ElementDecl:
+            if type(c.type) is not ComplexType:
+                _check_type_ref(model, c.type, f"element {c.name!r}", c.position)
+        elif kind is ComplexType:
+            context[id(c)] = (f"type {c.name!r}" if c.name is not None
+                              else f"element {parent.name!r}")
+        elif kind is GroupDecl:
+            context[id(c)] = f"group {c.name!r}"
+        elif kind is AttrDecl:
+            if type(parent) is AttrGroupDecl:
+                _check_type_ref(model, c.datatype, f"attributeGroup {parent.name!r}", c.position)
+                continue
+            where = f"attribute {c.name!r} of {context[id(parent)]}"
+            _check_type_ref(model, c.datatype, where, c.position)
+            if isinstance(c.datatype, NamedTypeRef):
+                if not isinstance(model.type_named(c.datatype.name), SimpleType):
+                    raise SchemaError(c.position, f"{where} must reference a simple type")
 
-    def check_element(e: ElementDecl):
-        if isinstance(e.type, ComplexType):
-            check_complex(e.type, f"element {e.name!r}")
-        else:
-            check_type_ref(e.type, f"element {e.name!r}", e.position)
-
-    for e in model.global_elements:
-        check_element(e)
-    for t in model.global_types:
-        if isinstance(t, ComplexType):
-            check_complex(t, f"type {t.name!r}")
-    for g in model.element_groups:
-        check_particles(g.particles, f"group {g.name!r}")
-    for ag in model.attribute_groups:
-        for a in ag.attributes:
-            check_type_ref(a.datatype, f"attributeGroup {ag.name!r}", a.position)
-
-    # derivation chains must terminate
+    # Derivation chains must terminate. Each link is followed once: a chain
+    # stops at a type already known to terminate.
+    terminates: set[str] = set()
     for t in model.global_types:
         if not isinstance(t, ComplexType):
             continue
-        seen = {t.name}
+        chain = {t.name}
         cur = t
-        while cur.derivation is not None:
-            base = model.type_named(cur.derivation[1])
-            if base.name in seen:
+        while cur.derivation is not None and cur.name not in terminates:
+            cur = model.type_named(cur.derivation[1])
+            if cur.name in chain:
                 raise SchemaError(t.position, f"circular derivation involving {t.name!r}")
-            seen.add(base.name)
-            cur = base
+            chain.add(cur.name)
+        terminates |= chain
+
+
+def _check_type_ref(model: SchemaModel, ref, where: str, position):
+    if isinstance(ref, NamedTypeRef) and model.type_named(ref.name) is None:
+        raise SchemaError(position, f"unresolved type reference {ref.name!r} in {where}")
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +443,13 @@ def _check_references(model: SchemaModel) -> None:
 
 
 class _SchemaReader:
+    """Reads an XSD document on an explicit stack of frames, one per open
+    xs:element, xs:complexType, xs:sequence or global xs:group. A frame is
+    a generator: to read a nested element, type or sequence it yields
+    (reader, *args) and is sent back the component built; it returns its
+    own component when it closes. Readers never call each other, so
+    nesting depth costs stack entries, not Python frames."""
+
     def __init__(self, doc: XmlDocument, source_id: str):
         self.doc = doc
         self.source_id = source_id
@@ -423,25 +475,38 @@ class _SchemaReader:
             if local == "annotation":
                 continue
             elif local == "element":
-                elements.append(self.read_element(child, scope="global"))
+                elements.append(self.build(self.read_element, child, "global"))
             elif local == "complexType":
-                types.append(self.read_complex_type(child, named=True))
+                types.append(self.build(self.read_complex_type, child, True))
             elif local == "simpleType":
                 types.append(self.read_simple_type(child))
             elif local == "group":
-                groups.append(self.read_group(child))
+                groups.append(self.build(self.read_group, child))
             elif local == "attributeGroup":
                 attr_groups.append(self.read_attr_group(child))
             else:
-                raise SchemaError(
-                    child.source_position, f"unsupported construct xs:{local}"
-                )
+                raise SchemaError(child.source_position, f"unsupported construct xs:{local}")
         model = SchemaModel(
             tuple(elements), tuple(types), tuple(groups), tuple(attr_groups),
             source_id=self.source_id,
         )
         _check_references(model)
         return model
+
+    def build(self, reader, *args):
+        """Run one reader and the frames it opens to completion."""
+        stack, built = [reader(*args)], None
+        while True:
+            try:
+                request = stack[-1].send(built)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                built = done.value
+            else:
+                stack.append(request[0](*request[1:]))
+                built = None
 
     def is_xsd(self, el: XmlElement) -> bool:
         if el.name.prefix is None:
@@ -450,9 +515,7 @@ class _SchemaReader:
 
     def expect_xsd(self, el: XmlElement) -> str:
         if not self.is_xsd(el):
-            raise SchemaError(
-                el.source_position, f"foreign-namespace element {el.name} in schema"
-            )
+            raise SchemaError(el.source_position, f"foreign-namespace element {el.name} in schema")
         return el.name.local
 
     def attr(self, el: XmlElement, name: str) -> str | None:
@@ -460,6 +523,12 @@ class _SchemaReader:
             if aname.prefix is None and aname.local == name:
                 return value
         return None
+
+    def required(self, el: XmlElement, name: str, message: str) -> str:
+        value = self.attr(el, name)
+        if value is None:
+            raise SchemaError(el.source_position, message)
+        return value
 
     def type_ref(self, qname: str, position) -> BuiltinRef | NamedTypeRef:
         if ":" in qname:
@@ -483,10 +552,8 @@ class _SchemaReader:
             raise SchemaError(el.source_position, "bad occurrence range")
         return min_o, max_o
 
-    def read_element(self, el: XmlElement, scope: str) -> ElementDecl:
-        name = self.attr(el, "name")
-        if name is None:
-            raise SchemaError(el.source_position, "element declaration without a name")
+    def read_element(self, el: XmlElement, scope: str):
+        name = self.required(el, "name", "element declaration without a name")
         if scope == "global" and (
             self.attr(el, "minOccurs") is not None or self.attr(el, "maxOccurs") is not None
         ):
@@ -502,24 +569,19 @@ class _SchemaReader:
             elif local == "complexType":
                 if type_attr is not None or inline is not None:
                     raise SchemaError(child.source_position, "element has two types")
-                inline = self.read_complex_type(child, named=False)
+                inline = yield self.read_complex_type, child, False
             elif local == "simpleType":
                 raise SchemaError(
                     child.source_position, "unsupported construct: anonymous xs:simpleType"
                 )
             else:
                 raise SchemaError(child.source_position, f"unsupported construct xs:{local}")
-        if type_attr is not None:
+        etype = inline or BuiltinRef("anyType")
+        if type_attr is not None:  # then there is no inline type
             etype = self.type_ref(type_attr, el.source_position)
-        elif inline is not None:
-            etype = inline
-        else:
-            etype = BuiltinRef("anyType")
         return ElementDecl(name, etype, scope=scope, position=el.source_position)
 
-    def read_particles(
-        self, seq: XmlElement
-    ) -> tuple[list[Particle], list[str]]:
+    def read_particles(self, seq: XmlElement):
         particles: list[Particle] = []
         group_refs: list[str] = []
         for child in seq.child_elements():
@@ -536,12 +598,10 @@ class _SchemaReader:
                         )
                     particles.append(Particle(ref, None, min_o, max_o))
                 else:
-                    decl = self.read_element(child, scope="local")
+                    decl = yield self.read_element, child, "local"
                     particles.append(Particle(None, decl, min_o, max_o))
             elif local == "group":
-                ref = self.attr(child, "ref")
-                if ref is None:
-                    raise SchemaError(child.source_position, "group particle without ref")
+                ref = self.required(child, "ref", "group particle without ref")
                 if self.attr(child, "minOccurs") or self.attr(child, "maxOccurs"):
                     raise SchemaError(
                         child.source_position,
@@ -558,11 +618,9 @@ class _SchemaReader:
         return particles, group_refs
 
     def read_attribute(self, el: XmlElement) -> AttrDecl:
-        name = self.attr(el, "name")
-        if name is None:
-            raise SchemaError(
-                el.source_position, "attribute references (ref=) are not supported"
-            )
+        name = self.required(
+            el, "name", "attribute references (ref=) are not supported"
+        )
         type_attr = self.attr(el, "type")
         datatype = (
             BuiltinRef("string")
@@ -574,47 +632,7 @@ class _SchemaReader:
             raise SchemaError(el.source_position, f"unsupported attribute use {use!r}")
         return AttrDecl(name, datatype, use == "required", position=el.source_position)
 
-    def read_type_body(
-        self, el: XmlElement
-    ) -> tuple[list[Particle], list[AttrDecl], list[str], list[str]]:
-        particles: list[Particle] = []
-        attributes: list[AttrDecl] = []
-        group_refs: list[str] = []
-        attr_group_refs: list[str] = []
-        seen_sequence = False
-        for child in el.child_elements():
-            local = self.expect_xsd(child)
-            if local == "annotation":
-                continue
-            elif local == "sequence":
-                if seen_sequence:
-                    raise SchemaError(
-                        child.source_position, "multiple content models in one type"
-                    )
-                seen_sequence = True
-                particles, seq_groups = self.read_particles(child)
-                group_refs.extend(seq_groups)
-            elif local == "attribute":
-                attributes.append(self.read_attribute(child))
-            elif local == "group":
-                ref = self.attr(child, "ref")
-                if ref is None:
-                    raise SchemaError(child.source_position, "group reference without ref")
-                group_refs.append(ref)
-            elif local == "attributeGroup":
-                ref = self.attr(child, "ref")
-                if ref is None:
-                    raise SchemaError(
-                        child.source_position, "attributeGroup reference without ref"
-                    )
-                attr_group_refs.append(ref)
-            elif local in ("choice", "all", "any", "simpleContent"):
-                raise SchemaError(child.source_position, f"unsupported construct xs:{local}")
-            else:
-                raise SchemaError(child.source_position, f"unsupported construct xs:{local}")
-        return particles, attributes, group_refs, attr_group_refs
-
-    def read_complex_type(self, el: XmlElement, named: bool) -> ComplexType:
+    def read_complex_type(self, el: XmlElement, named: bool):
         name = self.attr(el, "name")
         if named and name is None:
             raise SchemaError(el.source_position, "global complexType without a name")
@@ -635,12 +653,8 @@ class _SchemaReader:
             deriv_el = inner[0]
             kind = self.expect_xsd(deriv_el)
             if kind not in ("extension", "restriction"):
-                raise SchemaError(
-                    deriv_el.source_position, f"unsupported construct xs:{kind}"
-                )
-            base = self.attr(deriv_el, "base")
-            if base is None:
-                raise SchemaError(deriv_el.source_position, f"xs:{kind} without base")
+                raise SchemaError(deriv_el.source_position, f"unsupported construct xs:{kind}")
+            base = self.required(deriv_el, "base", f"xs:{kind} without base")
             base_ref = self.type_ref(base, deriv_el.source_position)
             if isinstance(base_ref, BuiltinRef):
                 raise SchemaError(
@@ -649,22 +663,41 @@ class _SchemaReader:
             derivation = (kind, base_ref.name)
             body = deriv_el
 
-        particles, attributes, group_refs, attr_group_refs = self.read_type_body(body)
+        particles: list[Particle] = []
+        attributes: list[AttrDecl] = []
+        group_refs: list[str] = []
+        attr_group_refs: list[str] = []
+        seen_sequence = False
+        for child in body.child_elements():
+            local = self.expect_xsd(child)
+            if local == "annotation":
+                continue
+            elif local == "sequence":
+                if seen_sequence:
+                    raise SchemaError(child.source_position, "multiple content models in one type")
+                seen_sequence = True
+                particles, seq_groups = yield self.read_particles, child
+                group_refs.extend(seq_groups)
+            elif local == "attribute":
+                attributes.append(self.read_attribute(child))
+            elif local == "group":
+                ref = self.required(child, "ref", "group reference without ref")
+                group_refs.append(ref)
+            elif local == "attributeGroup":
+                ref = self.required(
+                    child, "ref", "attributeGroup reference without ref"
+                )
+                attr_group_refs.append(ref)
+            else:  # xs:choice, xs:all, xs:any, xs:simpleContent, ...
+                raise SchemaError(child.source_position, f"unsupported construct xs:{local}")
         return ComplexType(
-            name=name,
-            particles=tuple(particles),
-            attributes=tuple(attributes),
-            group_refs=tuple(group_refs),
-            attr_group_refs=tuple(attr_group_refs),
-            mixed=mixed,
-            derivation=derivation,
+            name, tuple(particles), tuple(attributes), tuple(group_refs),
+            tuple(attr_group_refs), mixed=mixed, derivation=derivation,
             position=el.source_position,
         )
 
     def read_simple_type(self, el: XmlElement) -> SimpleType:
-        name = self.attr(el, "name")
-        if name is None:
-            raise SchemaError(el.source_position, "global simpleType without a name")
+        name = self.required(el, "name", "global simpleType without a name")
         restr = None
         for child in el.child_elements():
             local = self.expect_xsd(child)
@@ -676,9 +709,7 @@ class _SchemaReader:
                 raise SchemaError(child.source_position, f"unsupported construct xs:{local}")
         if restr is None:
             raise SchemaError(el.source_position, "simpleType without xs:restriction")
-        base = self.attr(restr, "base")
-        if base is None:
-            raise SchemaError(restr.source_position, "xs:restriction without base")
+        base = self.required(restr, "base", "xs:restriction without base")
         base_ref = self.type_ref(base, restr.source_position)
         if not isinstance(base_ref, BuiltinRef):
             raise SchemaError(
@@ -687,17 +718,15 @@ class _SchemaReader:
         # facets inside the restriction carry no structural information here
         return SimpleType(name, base_ref.name, position=el.source_position)
 
-    def read_group(self, el: XmlElement) -> GroupDecl:
-        name = self.attr(el, "name")
-        if name is None:
-            raise SchemaError(el.source_position, "global group without a name")
+    def read_group(self, el: XmlElement):
+        name = self.required(el, "name", "global group without a name")
         particles: list[Particle] = []
         for child in el.child_elements():
             local = self.expect_xsd(child)
             if local == "annotation":
                 continue
             elif local == "sequence":
-                seq_particles, seq_groups = self.read_particles(child)
+                seq_particles, seq_groups = yield self.read_particles, child
                 if seq_groups:
                     raise SchemaError(
                         child.source_position, "nested group references are not supported"
@@ -708,9 +737,7 @@ class _SchemaReader:
         return GroupDecl(name, tuple(particles), position=el.source_position)
 
     def read_attr_group(self, el: XmlElement) -> AttrGroupDecl:
-        name = self.attr(el, "name")
-        if name is None:
-            raise SchemaError(el.source_position, "global attributeGroup without a name")
+        name = self.required(el, "name", "global attributeGroup without a name")
         attributes: list[AttrDecl] = []
         for child in el.child_elements():
             local = self.expect_xsd(child)
@@ -743,6 +770,15 @@ def _occurs_attrs(p: Particle) -> str:
     return "".join(parts)
 
 
+def _type_text(ref: BuiltinRef | NamedTypeRef) -> str:
+    return f"xs:{ref.name}" if isinstance(ref, BuiltinRef) else ref.name
+
+
+def _attribute_line(a: AttrDecl, indent: str) -> str:
+    use = ' use="required"' if a.required else ""
+    return f'{indent}<xs:attribute name="{a.name}"{use} type="{_type_text(a.datatype)}"/>'
+
+
 def serialize_schema(model: SchemaModel) -> str:
     """Write the model as XSD text: xs: prefix, two-space indentation,
     occurrence facets omitted when they equal the defaults."""
@@ -750,90 +786,66 @@ def serialize_schema(model: SchemaModel) -> str:
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<xs:schema xmlns:xs="{XSD_NS}">',
     ]
-
-    def type_text(ref: BuiltinRef | NamedTypeRef) -> str:
-        return f"xs:{ref.name}" if isinstance(ref, BuiltinRef) else ref.name
-
-    def emit_attribute(a: AttrDecl, indent: str):
-        use = ' use="required"' if a.required else ""
-        lines.append(f'{indent}<xs:attribute name="{a.name}"{use} type="{type_text(a.datatype)}"/>')
-
-    def emit_body(ct: ComplexType, indent: str):
-        seq_items = list(ct.particles) + [("group", g) for g in ct.group_refs]
-        if seq_items:
-            lines.append(f"{indent}<xs:sequence>")
-            for item in seq_items:
-                if isinstance(item, Particle):
-                    if item.ref is not None:
-                        lines.append(
-                            f'{indent}  <xs:element{_occurs_attrs(item)} ref="{item.ref}"/>'
-                        )
-                    else:
-                        emit_element(item.decl, indent + "  ", _occurs_attrs(item))
-                else:
-                    lines.append(f'{indent}  <xs:group ref="{item[1]}"/>')
-            lines.append(f"{indent}</xs:sequence>")
-        for a in ct.attributes:
-            emit_attribute(a, indent)
-        for g in ct.attr_group_refs:
-            lines.append(f'{indent}<xs:attributeGroup ref="{g}"/>')
-
-    def emit_complex_type(ct: ComplexType, indent: str):
-        attrs = ""
-        if ct.name is not None:
-            attrs += f' name="{ct.name}"'
-        if ct.mixed:
-            attrs += ' mixed="true"'
-        empty = not (ct.particles or ct.attributes or ct.group_refs or ct.attr_group_refs)
-        if ct.derivation is None and empty:
-            lines.append(f"{indent}<xs:complexType{attrs}/>")
-            return
-        lines.append(f"{indent}<xs:complexType{attrs}>")
-        if ct.derivation is not None:
-            kind, base = ct.derivation
-            lines.append(f"{indent}  <xs:complexContent>")
-            lines.append(f'{indent}    <xs:{kind} base="{base}">')
-            emit_body(ct, indent + "      ")
-            lines.append(f"{indent}    </xs:{kind}>")
-            lines.append(f"{indent}  </xs:complexContent>")
-        else:
-            emit_body(ct, indent + "  ")
-        lines.append(f"{indent}</xs:complexType>")
-
-    def emit_element(e: ElementDecl, indent: str, occurs: str = ""):
-        if isinstance(e.type, ComplexType):
-            lines.append(f'{indent}<xs:element{occurs} name="{e.name}">')
-            emit_complex_type(e.type, indent + "  ")
-            lines.append(f"{indent}</xs:element>")
-        else:
-            lines.append(
-                f'{indent}<xs:element{occurs} name="{e.name}" type="{type_text(e.type)}"/>'
-            )
-
-    for e in model.global_elements:
-        emit_element(e, "  ")
-    for t in model.global_types:
-        if isinstance(t, ComplexType):
-            emit_complex_type(t, "  ")
-        else:
-            lines.append(f'  <xs:simpleType name="{t.name}">')
-            lines.append(f'    <xs:restriction base="xs:{t.base}"/>')
-            lines.append("  </xs:simpleType>")
-    for g in model.element_groups:
-        lines.append(f'  <xs:group name="{g.name}">')
-        lines.append("    <xs:sequence>")
-        for p in g.particles:
-            if p.ref is not None:
-                lines.append(f'      <xs:element{_occurs_attrs(p)} ref="{p.ref}"/>')
+    # per open component: its children's indentation and its closing lines
+    frames: list[tuple[str, tuple[str, ...] | list[str]]] = []
+    for event, c, parent in walk(model.global_components):
+        if event is LEAVE:
+            lines.extend(frames.pop()[1])
+            continue
+        indent = frames[-1][0] if frames else "  "
+        inner, closing = indent, ()
+        kind = type(c)
+        if kind is Particle:  # a local element is written at its own event
+            if c.ref is not None:
+                lines.append(f'{indent}<xs:element{_occurs_attrs(c)} ref="{c.ref}"/>')
+        elif kind is ElementDecl:
+            occurs = _occurs_attrs(parent) if type(parent) is Particle else ""
+            if type(c.type) is ComplexType:
+                lines.append(f'{indent}<xs:element{occurs} name="{c.name}">')
+                inner, closing = indent + "  ", (f"{indent}</xs:element>",)
             else:
-                emit_element(p.decl, "      ", _occurs_attrs(p))
-        lines.append("    </xs:sequence>")
-        lines.append("  </xs:group>")
-    for ag in model.attribute_groups:
-        lines.append(f'  <xs:attributeGroup name="{ag.name}">')
-        for a in ag.attributes:
-            emit_attribute(a, "    ")
-        lines.append("  </xs:attributeGroup>")
+                lines.append(
+                    f'{indent}<xs:element{occurs} name="{c.name}" type="{_type_text(c.type)}"/>'
+                )
+        elif kind is ComplexType:
+            derived = c.derivation is not None
+            body = indent + ("      " if derived else "  ")
+            inner = body + "  "
+            sequence = bool(c.particles or c.group_refs)
+            attrs = (f' name="{c.name}"' if c.name is not None else "") + (
+                ' mixed="true"' if c.mixed else "")
+            if not (derived or sequence or c.attributes or c.attr_group_refs):
+                lines.append(f"{indent}<xs:complexType{attrs}/>")
+            else:
+                # the sequence's group references, the attributes and the
+                # attributeGroup references follow the particles
+                lines.append(f"{indent}<xs:complexType{attrs}>")
+                closing = [f'{body}  <xs:group ref="{g}"/>' for g in c.group_refs]
+                if derived:
+                    lines.append(f"{indent}  <xs:complexContent>")
+                    lines.append(f'{indent}    <xs:{c.derivation[0]} base="{c.derivation[1]}">')
+                if sequence:
+                    lines.append(f"{body}<xs:sequence>")
+                    closing.append(f"{body}</xs:sequence>")
+                closing += [_attribute_line(a, body) for a in c.attributes]
+                closing += [f'{body}<xs:attributeGroup ref="{g}"/>' for g in c.attr_group_refs]
+                if derived:
+                    closing.append(f"{indent}    </xs:{c.derivation[0]}>")
+                    closing.append(f"{indent}  </xs:complexContent>")
+                closing.append(f"{indent}</xs:complexType>")
+        elif kind is GroupDecl:
+            lines.append(f'{indent}<xs:group name="{c.name}">')
+            lines.append(f"{indent}  <xs:sequence>")
+            inner, closing = indent + "    ", (f"{indent}  </xs:sequence>", f"{indent}</xs:group>")
+        elif kind is SimpleType:
+            lines.append(f'{indent}<xs:simpleType name="{c.name}">')
+            lines.append(f'{indent}  <xs:restriction base="xs:{c.base}"/>')
+            lines.append(f"{indent}</xs:simpleType>")
+        elif kind is AttrGroupDecl:  # a complex type writes its own attributes
+            lines.append(f'{indent}<xs:attributeGroup name="{c.name}">')
+            lines.extend(_attribute_line(a, indent + "  ") for a in c.attributes)
+            lines.append(f"{indent}</xs:attributeGroup>")
+        frames.append((inner, closing))
     lines.append("</xs:schema>")
     return "\n".join(lines) + "\n"
 

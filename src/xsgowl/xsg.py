@@ -22,13 +22,17 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .xsdmodel import (
+    LEAVE,
+    AttrDecl,
     AttrGroupDecl,
-    BuiltinRef,
     ComplexType,
     ElementDecl,
     GroupDecl,
     NamedTypeRef,
+    Particle,
     SchemaModel,
+    SimpleType,
+    walk,
 )
 
 logger = logging.getLogger("xsgowl.xsg")
@@ -42,6 +46,9 @@ ATTRIBUTE_GROUP = "attribute-group"
 
 EDGE_ELEMENT_TYPE = "element-type"
 EDGE_MEMBER = "member"
+
+_GLOBAL_KINDS = {ElementDecl: ELEMENT, ComplexType: COMPLEX_TYPE, SimpleType: SIMPLE_TYPE,
+                 GroupDecl: ELEMENT_GROUP, AttrGroupDecl: ATTRIBUTE_GROUP}
 
 _SHAPES = {
     ELEMENT: "ellipse",
@@ -133,90 +140,68 @@ class _GraphBuilder:
             raise EmptySchema(f"schema {schema.source_id!r} has no global element")
 
         # global declarations first, so forward references resolve
-        for e in schema.global_elements:
-            self.add_vertex(ELEMENT, e.name, e)
-        for t in schema.global_types:
-            kind = COMPLEX_TYPE if isinstance(t, ComplexType) else SIMPLE_TYPE
-            self.add_vertex(kind, t.name, t)
-        for g in schema.element_groups:
-            self.add_vertex(ELEMENT_GROUP, g.name, g)
-        for ag in schema.attribute_groups:
-            self.add_vertex(ATTRIBUTE_GROUP, ag.name, ag)
-
-        for e in schema.global_elements:
-            self.visit_element(e)
-        for t in schema.global_types:
-            if isinstance(t, ComplexType):
-                self.visit_type(t)
-        for g in schema.element_groups:
-            self.visit_group(g)
-        for ag in schema.attribute_groups:
-            self.visit_attr_group(ag)
+        for c in schema.global_components:
+            self.add_vertex(_GLOBAL_KINDS[type(c)], c.name, c)
+        self.visit(c for c in schema.global_components if self.first_visit(c))
 
         graph = SchemaGraph(self.vertices, self.edges, self.find_roots(), [])
         graph.back_edges = self.find_back_edges(graph)
         self.warn_unreachable(graph)
         return graph
 
-    def visit_element(self, decl: ElementDecl):
-        ev = self.by_component[id(decl)]
-        etype = decl.type
-        if isinstance(etype, BuiltinRef):
-            return  # primitive types get no vertex and no type edge
-        if isinstance(etype, NamedTypeRef):
-            target = self.schema.type_named(etype.name)
-            tv = self.by_component[id(target)]
-            self.add_edge(ev, tv, EDGE_ELEMENT_TYPE)
-            if isinstance(target, ComplexType):
-                self.visit_type(target)
-            return
-        tv = self.add_vertex(COMPLEX_TYPE, f"{decl.name}_type", etype)
-        self.add_edge(ev, tv, EDGE_ELEMENT_TYPE)
-        self.visit_type(etype)
+    def first_visit(self, c) -> bool:
+        """Whether to walk `c` now: a complex type is walked once."""
+        if type(c) is not ComplexType:
+            return True
+        if id(c) in self.visited_types:
+            return False
+        self.visited_types.add(id(c))
+        return True
 
-    def visit_type(self, ct: ComplexType):
-        if id(ct) in self.visited_types:
-            return
-        self.visited_types.add(id(ct))
-        tv = self.by_component[id(ct)]
-        for p in ct.particles:
-            if p.ref is not None:
-                target = self.schema.element(p.ref)
-                ev = self.by_component[id(target)]
+    def visit(self, roots):
+        """Add the edges and local vertices under the global components
+        `roots`. A named complex type is walked at its first element
+        reference, on top of the walk that meets it, so vertex ids follow
+        that order."""
+        schema, by_component = self.schema, self.by_component
+        walks = [walk(roots)]
+        while walks:
+            for event, c, parent in walks[-1]:
+                if event is LEAVE:
+                    if type(c) is ComplexType:  # group references follow the members
+                        tv = by_component[id(c)]
+                        for gname in c.group_refs:
+                            gv = by_component[id(schema.group(gname))]
+                            self.add_edge(tv, gv, EDGE_MEMBER, component=gname)
+                        for agname in c.attr_group_refs:
+                            agv = by_component[id(schema.attr_group(agname))]
+                            self.add_edge(tv, agv, EDGE_MEMBER, component=agname)
+                    continue
+                kind = type(c)
+                if kind is Particle:
+                    if c.ref is not None:
+                        ev = by_component[id(schema.element(c.ref))]
+                    else:
+                        ev = self.add_vertex(ELEMENT, c.decl.name, c.decl)
+                    self.add_edge(by_component[id(parent)], ev, EDGE_MEMBER,
+                                  occurs=(c.min_occurs, c.max_occurs), component=c)
+                elif kind is ElementDecl:
+                    if type(c.type) is not NamedTypeRef:
+                        continue  # primitive types get no vertex and no type edge
+                    target = schema.type_named(c.type.name)
+                    self.add_edge(by_component[id(c)], by_component[id(target)],
+                                  EDGE_ELEMENT_TYPE)
+                    if type(target) is ComplexType and self.first_visit(target):
+                        walks.append(walk((target,)))
+                        break
+                elif kind is AttrDecl:
+                    av = self.add_vertex(ATTRIBUTE, c.name, c)
+                    self.add_edge(by_component[id(parent)], av, EDGE_MEMBER, component=c)
+                elif kind is ComplexType and c.name is None:
+                    tv = self.add_vertex(COMPLEX_TYPE, f"{parent.name}_type", c)
+                    self.add_edge(by_component[id(parent)], tv, EDGE_ELEMENT_TYPE)
             else:
-                ev = self.add_vertex(ELEMENT, p.decl.name, p.decl)
-            self.add_edge(tv, ev, EDGE_MEMBER,
-                          occurs=(p.min_occurs, p.max_occurs), component=p)
-            if p.decl is not None:
-                self.visit_element(p.decl)
-        for a in ct.attributes:
-            av = self.add_vertex(ATTRIBUTE, a.name, a)
-            self.add_edge(tv, av, EDGE_MEMBER, component=a)
-        for gname in ct.group_refs:
-            gv = self.by_component[id(self.schema.group(gname))]
-            self.add_edge(tv, gv, EDGE_MEMBER, component=gname)
-        for agname in ct.attr_group_refs:
-            agv = self.by_component[id(self.schema.attr_group(agname))]
-            self.add_edge(tv, agv, EDGE_MEMBER, component=agname)
-
-    def visit_group(self, g: GroupDecl):
-        gv = self.by_component[id(g)]
-        for p in g.particles:
-            if p.ref is not None:
-                target = self.schema.element(p.ref)
-                ev = self.by_component[id(target)]
-            else:
-                ev = self.add_vertex(ELEMENT, p.decl.name, p.decl)
-            self.add_edge(gv, ev, EDGE_MEMBER,
-                          occurs=(p.min_occurs, p.max_occurs), component=p)
-            if p.decl is not None:
-                self.visit_element(p.decl)
-
-    def visit_attr_group(self, ag: AttrGroupDecl):
-        agv = self.by_component[id(ag)]
-        for a in ag.attributes:
-            av = self.add_vertex(ATTRIBUTE, a.name, a)
-            self.add_edge(agv, av, EDGE_MEMBER, component=a)
+                walks.pop()
 
     def find_roots(self) -> list[int]:
         referenced = {

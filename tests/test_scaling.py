@@ -20,6 +20,7 @@ from xsgowl.infer import infer_schema
 from xsgowl.owlgen import _PropRecord
 from xsgowl.owlmodel import FragmentAllocator, Iri
 from xsgowl.xmldoc import parse_xml
+from xsgowl.xsdmodel import read_schema, serialize_schema
 from xsgowl.xsg import build_xsg, is_tree
 
 PACKAGE_DIR = str(Path(xsgowl.__file__).parent) + os.sep
@@ -53,6 +54,41 @@ def item_schema(n: int) -> str:
         f'<xs:element name="root"><xs:complexType><xs:sequence>{members}'
         "</xs:sequence></xs:complexType></xs:element></xs:schema>\n"
     )
+
+
+XS_SCHEMA = '<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">'
+
+
+def nested_schema(n: int) -> str:
+    """n levels of anonymous element/complexType/sequence nesting."""
+    opening = "".join(
+        f'<xs:element name="e{i}"><xs:complexType><xs:sequence>' for i in range(n)
+    )
+    closing = "</xs:sequence></xs:complexType></xs:element>" * n
+    return (f'{XS_SCHEMA}{opening}<xs:element name="leaf" type="xs:string"/>'
+            f"{closing}</xs:schema>\n")
+
+
+def type_chain_schema(n: int) -> str:
+    """n named types, each holding one element of the next type."""
+    types = "".join(
+        f'<xs:complexType name="T{i}"><xs:sequence>'
+        f'<xs:element name="e" type="T{i + 1}"/></xs:sequence></xs:complexType>'
+        for i in range(n)
+    )
+    return (f'{XS_SCHEMA}<xs:element name="root" type="T0"/>{types}'
+            f'<xs:complexType name="T{n}"/></xs:schema>\n')
+
+
+def derivation_chain_schema(n: int) -> str:
+    """n named types, each extending the next."""
+    types = "".join(
+        f'<xs:complexType name="T{i}"><xs:complexContent>'
+        f'<xs:extension base="T{i + 1}"/></xs:complexContent></xs:complexType>'
+        for i in range(n)
+    )
+    return (f'{XS_SCHEMA}<xs:element name="root" type="T0"/>{types}'
+            f'<xs:complexType name="T{n}"/></xs:schema>\n')
 
 
 def records_document(n: int) -> str:
@@ -113,13 +149,16 @@ def assert_linear(counts: list[int]):
                  id="wide-instances"),
     pytest.param(wide_document, ["--literal-domains"], id="wide-literal-domains"),
     pytest.param(item_schema, [], id="xsd-items"),
+    pytest.param(nested_schema, [], id="xsd-nested"),
+    pytest.param(type_chain_schema, [], id="xsd-type-chain"),
+    pytest.param(derivation_chain_schema, [], id="xsd-derivation-chain"),
     pytest.param(records_document, ["--with-instances", "--format", "both"],
                  id="records-instances"),
     pytest.param(sparse_records_document, ["--with-instances"],
                  id="sparse-records-instances"),
 ])
 def test_generate_work_grows_linearly(tmp_path, source, flags):
-    suffix = ".xsd" if source is item_schema else ".xml"
+    suffix = ".xsd" if source.__name__.endswith("_schema") else ".xml"
     exit_codes = []
     counts = []
     for n in SIZES:
@@ -130,6 +169,41 @@ def test_generate_work_grows_linearly(tmp_path, source, flags):
     assert exit_codes == [0, 0]
     assert_linear(counts)
 
+
+
+# Depth: no schema stage recurses (tests/test_no_recursion.py), so neither
+# nesting depth nor type-chain length may end in exit 4.
+
+DEEP = 5000
+EMIT_ALL = ["--emit-schema", "--emit-dot", "--emit-trace", "--format", "both"]
+
+
+@pytest.mark.parametrize("source, depth", [
+    pytest.param(type_chain_schema, DEEP, id="type-chain"),
+    # A nested level's schema path and XSD indentation grow with its depth,
+    # so the trace and the XSD grow with depth squared: about a gigabyte
+    # each at 5000 levels. 1000 levels still took 3000 to 4000 Python frames
+    # in each recursive walk this replaced.
+    pytest.param(nested_schema, 1000, id="nested"),
+])
+def test_deep_schema_generates(tmp_path, source, depth):
+    path = tmp_path / "deep.xsd"
+    path.write_text(source(depth))
+    out = tmp_path / "out"
+    assert cli.main(["generate", str(path), "--out-dir", str(out), *EMIT_ALL]) == 0
+    # compared as text: the dataclass `__eq__` of a deep model recurses
+    text = serialize_schema(read_schema(path.read_bytes(), "deep"))
+    assert (out / "deep.xsd").read_text() == text
+    assert serialize_schema(read_schema(text.encode(), "deep")) == text
+
+
+@pytest.mark.parametrize("source", [type_chain_schema, nested_schema],
+                         ids=["type-chain", "nested"])
+def test_deep_schema_graph(tmp_path, source):
+    path = tmp_path / "deep.xsd"
+    path.write_text(source(DEEP))
+    assert cli.main(["graph", str(path), str(tmp_path / "deep.dot")]) == 0
+    assert (tmp_path / "deep.dot").read_text().count("->") >= 2 * DEEP
 
 
 def test_infer_schema_many_optional_children_grows_linearly(tmp_path):

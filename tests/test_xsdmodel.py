@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from xsgowl.infer import infer_schema
@@ -292,3 +295,19 @@ def test_lookups_first_declaration_wins():
     assert model.group("g") is groups[0]
     assert model.attr_group("ag") is attr_groups[0]
     assert_lookups_match_scans(model)
+
+
+def test_model_freed_with_its_view():
+    # the cached view must not point back at the model, or the model lives
+    # until the cyclic collector runs
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        model = read_schema(DERIVED_SCHEMA, "t")
+        model.resolved.content(model.type_named("authorType"))
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
