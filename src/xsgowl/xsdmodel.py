@@ -213,10 +213,10 @@ _GLOBAL_TAGS = {ElementDecl: "element", ComplexType: "complexType", SimpleType: 
 
 def _children(c) -> tuple:
     kind = type(c)
-    if kind is ElementDecl:
-        return (c.type,) if type(c.type) is ComplexType else ()
     if kind is Particle:
         return () if c.decl is None else (c.decl,)
+    if kind is ElementDecl:
+        return (c.type,) if type(c.type) is ComplexType else ()
     if kind is ComplexType:
         return c.particles + c.attributes
     if kind is GroupDecl:
@@ -787,12 +787,12 @@ def serialize_schema(model: SchemaModel) -> str:
         f'<xs:schema xmlns:xs="{XSD_NS}">',
     ]
     # per open component: its children's indentation and its closing lines
-    frames: list[tuple[str, tuple[str, ...] | list[str]]] = []
+    frames: list[tuple[str, tuple[str, ...] | list[str]]] = [("  ", ())]
     for event, c, parent in walk(model.global_components):
         if event is LEAVE:
             lines.extend(frames.pop()[1])
             continue
-        indent = frames[-1][0] if frames else "  "
+        indent = frames[-1][0]
         inner, closing = indent, ()
         kind = type(c)
         if kind is Particle:  # a local element is written at its own event
