@@ -181,9 +181,9 @@ EMIT_ALL = ["--emit-schema", "--emit-dot", "--emit-trace", "--format", "both"]
 @pytest.mark.parametrize("source, depth", [
     pytest.param(type_chain_schema, DEEP, id="type-chain"),
     # A nested level's schema path and XSD indentation grow with its depth,
-    # so the trace and the XSD grow with depth squared: about a gigabyte
-    # each at 5000 levels. 1000 levels still took 3000 to 4000 Python frames
-    # in each recursive walk this replaced.
+    # so the trace and the XSD grow with depth squared: the trace alone is
+    # about a gigabyte at 5000 levels. 1000 levels took 3000 to 4000 Python
+    # frames in each recursive schema walk.
     pytest.param(nested_schema, 1000, id="nested"),
 ])
 def test_deep_schema_generates(tmp_path, source, depth):

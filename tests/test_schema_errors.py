@@ -31,6 +31,7 @@ from xsgowl import xsdmodel
 from xsgowl.xmldoc import XmlDocument, XmlElement, XmlName, parse_xml, serialize_xml
 from xsgowl.xsdmodel import SchemaError, read_schema, serialize_schema
 from randgen import random_schema
+from test_violations import edit
 
 DIGESTS = Path(__file__).parent / "data" / "schema_error_digests.json"
 SEEDS = range(100)
@@ -65,14 +66,6 @@ def elements(root: XmlElement):
             ((*where, i), c, el) for i, c in enumerate(el.children)
             if isinstance(c, XmlElement)
         ]))
-
-
-def edit(el: XmlElement, where: tuple[int, ...], change) -> XmlElement:
-    if not where:
-        return change(el)
-    children = list(el.children)
-    children[where[0]] = edit(children[where[0]], where[1:], change)
-    return replace(el, children=tuple(children))
 
 
 def xs(local: str, **attrs: str) -> XmlElement:
@@ -335,11 +328,11 @@ def test_mutations_find_sites_and_errors():
 
 def _raise_lines() -> set[int]:
     """Line numbers of every `raise SchemaError` in the reader and the
-    reference checks."""
+    reference checks (`_check_references` and its `_check_*` helpers)."""
     tree = ast.parse(inspect.getsource(xsdmodel))
-    scopes = [n for n in tree.body
-              if getattr(n, "name", None) in ("_SchemaReader", "_check_references")]
-    assert len(scopes) == 2
+    scopes = [n for n in tree.body if getattr(n, "name", "") == "_SchemaReader"
+              or getattr(n, "name", "").startswith("_check_")]
+    assert {"_SchemaReader", "_check_references"} <= {n.name for n in scopes}
     return {
         node.lineno for scope in scopes for node in ast.walk(scope)
         if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
