@@ -3,10 +3,12 @@
 Every element instance whose declared type maps to a class becomes an
 individual of that class; parent-child pairs become object-property
 assertions resolved through the mapping trace, simple-typed children,
-attributes and mixed text become data assertions. `populate` validates
-the document first and raises DocumentInvalid when it does not conform.
-Types' flattened content and the schema paths that key the mapping
-trace come from the schema's shared resolved view (`SchemaModel.resolved`).
+attributes and mixed text become data assertions. `populate` consumes the
+validator's instance walk (`xsdmodel.walk_instances`), so one pass checks
+the document and builds its individuals; it raises DocumentInvalid when
+the document does not conform. Types' flattened content and the schema
+paths that key the mapping trace come from the schema's shared resolved
+view (`SchemaModel.resolved`).
 
 Individual names: the id-attribute strategy uses a sanitized `id`
 attribute value when the element carries one and falls back to the path
@@ -32,12 +34,13 @@ from .owlmodel import (
 )
 from .xmldoc import XmlDocument, XmlElement, text_content
 from .xsdmodel import (
+    LEAVE,
     ComplexType,
-    ElementDecl,
     GroupUse,
-    NamedTypeRef,
     SchemaModel,
-    validate,
+    TypeContent,
+    Violation,
+    walk_instances,
 )
 
 
@@ -55,53 +58,43 @@ class DocumentInvalid(ValueError):
 
 
 class _Populator:
+    """Builds individuals from the events of `walk_instances`, on its own
+    stack of open individuals: one frame per open complex-typed element."""
+
     def __init__(self, schema: SchemaModel, tbox: OntologyModel,
                  trace: MappingTrace, naming: IndividualNaming):
-        self.schema = schema
         self.view = schema.resolved
         self.tbox = tbox
         self.naming = naming
         self.resolution = trace.resolution
-        self.dt_props = {p.iri: p for p in tbox.datatype_properties}
+        # each datatype property's literal datatype, "" for a plain literal
+        self.datatype = {p.iri: "" if p.range == RDFS_LITERAL else p.range
+                         for p in tbox.datatype_properties}
         self.taken: dict[str, tuple[int, int]] = {}
-
-    def resolve_complex(self, type_ref) -> ComplexType | None:
-        if isinstance(type_ref, ComplexType):
-            return type_ref
-        if isinstance(type_ref, NamedTypeRef):
-            target = self.schema.type_named(type_ref.name)
-            if isinstance(target, ComplexType):
-                return target
-        return None
-
-    def allocate(self, instance: XmlElement, path_fragment: str) -> Iri:
-        fragment = path_fragment
-        if self.naming is IndividualNaming.ID_ATTRIBUTE:
-            id_value = instance.attribute("id")
-            if id_value is not None:
-                fragment = sanitize_fragment(id_value)
-        return self.claim(instance, fragment)
+        self.collision: NamingCollision | None = None  # the first one seen
+        self.out: list[Individual] = []
+        # per open element: instance, IRI, its step in the path-ordinal name,
+        # slot in `out`, object and data assertions, and its group holders
+        # by GroupUse path
+        self.open: list[tuple[XmlElement, Iri, str, int, list, list, dict]] = []
 
     def claim(self, instance: XmlElement, fragment: str) -> Iri:
-        if fragment in self.taken:
+        if fragment not in self.taken:
+            self.taken[fragment] = instance.source_position
+        elif self.collision is None:
             line, col = self.taken[fragment]
             here = instance.source_position
-            raise NamingCollision(
+            self.collision = NamingCollision(
                 f"individual IRI fragment {fragment!r} produced twice: "
                 f"at {line}:{col} and {here[0]}:{here[1]}"
             )
-        self.taken[fragment] = instance.source_position
         return Iri(self.tbox.ontology_iri, fragment)
 
-    def data_assertion(self, prop_iri: Iri, value: str):
-        rng = self.dt_props[prop_iri].range
-        datatype = "" if rng == RDFS_LITERAL else rng
-        return (prop_iri, value, datatype)
-
-    def holder(self, instance: XmlElement, iri: Iri, use: GroupUse,
-               holders: dict, object_assertions: list) -> tuple:
-        """The synthetic member holder of one group reference on this
-        instance, created (and linked from it) on first use."""
+    def holder(self, frame: tuple, use: GroupUse) -> tuple[list, list]:
+        """The object and data assertions of the synthetic member holder of
+        one group reference on the open element `frame`; the holder is
+        created, and linked from the element, on first use."""
+        instance, iri, _, _, object_assertions, _, holders = frame
         found = holders.get(use.path)
         if found is None:
             synth_iri = self.claim(
@@ -109,69 +102,81 @@ class _Populator:
             )
             found = holders[use.path] = (use, synth_iri, [], [])
             object_assertions.append((self.resolution[use.path], synth_iri))
-        return found
+        return found[2], found[3]
 
-    def build(self, instance: XmlElement, decl: ElementDecl,
-              path_fragment: str, out: list[Individual]) -> Iri:
-        """Append the instance's individual to `out`, then its
-        descendants' in document order, then its group holders."""
-        ct = self.resolve_complex(decl.type)
-        iri = self.allocate(instance, path_fragment)
-        content = self.view.content(ct)
-        slot = len(out)
-        out.append(None)  # this instance's individual, set below
-
-        object_assertions: list[tuple[Iri, Iri]] = []
-        data_assertions: list[tuple[Iri, str, str]] = []
-        # one synthetic member holder per group reference, created lazily
-        holders: dict[str, tuple[GroupUse, Iri, list, list]] = {}
-
-        ordinals: dict[str, int] = {}
-        for child in instance.child_elements():
-            name = child.name.local
-            ordinal = ordinals[name] = ordinals.get(name, 0) + 1
-            particle, use = content.particles[name][0]
-            child_decl = self.schema.element(particle.ref) \
-                if particle.ref is not None else particle.decl
-            if use is None:
-                obj_sink, data_sink = object_assertions, data_assertions
+    def build(self, events, violations: list[Violation]):
+        """Consume the walk's events, building nothing once it has reported
+        a violation. On enter, claim a complex-typed element's individual
+        and link it from its parent's, or record a simple-typed element's
+        value on its parent's; on leave, close the individual."""
+        open_, resolution, path, datatype = (
+            self.open, self.resolution, self.view.path, self.datatype)
+        for event, instance, member, ct, content, ordinal in events:
+            if violations:
+                continue  # the walk still checks the rest of the document
+            if event is LEAVE:
+                if content is not None:
+                    self.close(ct, content)
+            elif member is None:  # the root
+                if content is not None:
+                    self.push(instance, f"{instance.name.local}_{ordinal}")
             else:
-                _, _, obj_sink, data_sink = self.holder(
-                    instance, iri, use, holders, object_assertions)
-            prop_iri = self.resolution[self.view.path(particle)]
-            if self.resolve_complex(child_decl.type) is not None:
-                child_iri = self.build(
-                    child, child_decl, f"{path_fragment}.{name}_{ordinal}", out)
-                obj_sink.append((prop_iri, child_iri))
-            else:
-                data_sink.append(self.data_assertion(prop_iri, text_content(child)))
+                parent = open_[-1]
+                particle, use = member
+                obj_sink, data_sink = (parent[4], parent[5]) if use is None \
+                    else self.holder(parent, use)
+                prop_iri = resolution[path(particle)]
+                if content is None:
+                    data_sink.append(
+                        (prop_iri, text_content(instance), datatype[prop_iri]))
+                else:
+                    iri = self.push(instance, f"{instance.name.local}_{ordinal}")
+                    obj_sink.append((prop_iri, iri))
 
+    def push(self, instance: XmlElement, step: str) -> Iri:
+        """Claim the instance's individual and open it. Its path-ordinal
+        name joins the open elements' steps and its own; it is built only
+        when used, so a deep document named by ids costs no path strings."""
+        id_value = None
+        if self.naming is IndividualNaming.ID_ATTRIBUTE:
+            id_value = instance.attribute("id")
+        if id_value is not None:
+            fragment = sanitize_fragment(id_value)
+        else:
+            fragment = ".".join([frame[2] for frame in self.open] + [step])
+        iri = self.claim(instance, fragment)
+        self.open.append((instance, iri, step, len(self.out), [], [], {}))
+        self.out.append(None)  # this instance's individual, set on close
+        return iri
+
+    def close(self, ct: ComplexType, content: TypeContent):
+        """Close the open individual: its attributes, its mixed text, then
+        its group holders after its descendants' individuals."""
+        frame = self.open.pop()
+        instance, iri, _, slot, object_assertions, data_assertions, holders = frame
         for name, value in instance.attributes:
             if name.is_ns_decl:
                 continue
             attr, use = content.attributes[name.local]
-            data_sink = data_assertions if use is None else self.holder(
-                instance, iri, use, holders, object_assertions)[3]
+            data_sink = data_assertions if use is None else self.holder(frame, use)[1]
             prop_iri = self.resolution[self.view.path(attr)]
-            data_sink.append(self.data_assertion(prop_iri, value))
+            data_sink.append((prop_iri, value, self.datatype[prop_iri]))
 
         if content.mixed_types and any(isinstance(c, str) for c in instance.children):
-            text_path = f"{self.view.path(content.mixed_types[0])}/text()"
+            prop_iri = self.resolution[f"{self.view.path(content.mixed_types[0])}/text()"]
             data_assertions.append(
-                self.data_assertion(self.resolution[text_path], text_content(instance))
-            )
+                (prop_iri, text_content(instance), self.datatype[prop_iri]))
 
         for use, synth_iri, obj, data in holders.values():
-            out.append(Individual(
+            self.out.append(Individual(
                 synth_iri, self.resolution[self.view.path(use.decl)],
                 tuple(obj), tuple(data),
             ))
 
-        out[slot] = Individual(
+        self.out[slot] = Individual(
             iri, self.resolution[self.view.path(ct)],
             tuple(object_assertions), tuple(data_assertions),
         )
-        return iri
 
 
 def populate(
@@ -181,21 +186,21 @@ def populate(
     trace: MappingTrace,
     naming: IndividualNaming = IndividualNaming.ID_ATTRIBUTE,
 ) -> OntologyModel:
-    """TBox plus the individuals read off one document; raises
-    DocumentInvalid when the document does not validate."""
-    report = validate(doc, schema)
-    if not report.ok:
-        problems = "; ".join(str(v) for v in report.violations[:3])
+    """TBox plus the individuals read off one document, in one walk that
+    also validates it; raises DocumentInvalid when the document does not
+    validate, else NamingCollision when two individuals share an IRI."""
+    violations: list[Violation] = []
+    populator = _Populator(schema, tbox, trace, naming)
+    populator.build(walk_instances(doc, schema, violations), violations)
+    if violations:
+        problems = "; ".join(str(v) for v in violations[:3])
         raise DocumentInvalid(
             f"document {doc.source_id!r} does not validate against the schema: "
             f"{problems}"
         )
-    populator = _Populator(schema, tbox, trace, naming)
-    root_decl = schema.element(doc.root.name.local)
-    individuals: list[Individual] = []
-    if populator.resolve_complex(root_decl.type) is not None:
-        populator.build(doc.root, root_decl, f"{doc.root.name.local}_1", individuals)
-    return replace(tbox, individuals=tuple(individuals))
+    if populator.collision is not None:
+        raise populator.collision
+    return replace(tbox, individuals=tuple(populator.out))
 
 
 def split_individuals(model: OntologyModel) -> tuple[OntologyModel, OntologyModel]:

@@ -203,24 +203,27 @@ def _escape_attr(s: str) -> str:
 
 
 def serialize_xml(doc: XmlDocument) -> str:
-    """Write the tree back as XML text (attribute order preserved)."""
+    """Write the tree back as XML text (attribute order preserved), on an
+    explicit stack of open elements, so no depth runs out of frames."""
     out: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>\n']
-
-    def emit(e: XmlElement):
-        out.append(f"<{e.name}")
-        for name, value in e.attributes:
-            out.append(f' {name}="{_escape_attr(value)}"')
-        if not e.children:
-            out.append("/>")
-            return
-        out.append(">")
-        for child in e.children:
+    stack = [(None, iter((doc.root,)))]  # the root's frame writes no tags
+    while stack:
+        parent, children = stack[-1]
+        for child in children:
             if isinstance(child, str):
                 out.append(_escape_text(child))
-            else:
-                emit(child)
-        out.append(f"</{e.name}>")
-
-    emit(doc.root)
+                continue
+            out.append(f"<{child.name}")
+            for name, value in child.attributes:
+                out.append(f' {name}="{_escape_attr(value)}"')
+            if child.children:  # resume `children` after the child's end tag
+                out.append(">")
+                stack.append((child, iter(child.children)))
+                break
+            out.append("/>")
+        else:
+            stack.pop()
+            if parent is not None:
+                out.append(f"</{parent.name}>")
     out.append("\n")
     return "".join(out)

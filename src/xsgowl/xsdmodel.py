@@ -20,6 +20,13 @@ reader keeps its own explicit stack over the XSD's XML elements.
 component's schema path and each complex type's flattened content. The
 validator here, the TBox generator and instance population all read it.
 
+`walk_instances` is the one traversal of an instance document, the
+validator's: an explicit stack that checks each element and then yields
+enter and leave events with the declaration member that admitted it, its
+resolved type and content and its sibling ordinal. `validate` drains it;
+instance population (abox.py) builds individuals from the same events, so
+no document depth runs into Python's recursion limit either.
+
 Validation is deliberately structural, not a full XSD 1.0 validator: it
 checks element/attribute presence, per-name occurrence counts, lexical
 datatype fit and text placement. Child order is not enforced; occurrence
@@ -405,14 +412,14 @@ def _check_references(model: SchemaModel) -> None:
         elif kind is ComplexType:
             context[id(c)] = (f"type {c.name!r}" if c.name is not None
                               else f"element {parent.name!r}")
-        elif kind is GroupDecl:
-            context[id(c)] = f"group {c.name!r}"
+        elif kind is GroupDecl or kind is AttrGroupDecl:
+            context[id(c)] = f"{_GLOBAL_TAGS[kind]} {c.name!r}"
         elif kind is AttrDecl:
-            if type(parent) is AttrGroupDecl:
-                _check_type_ref(model, c.datatype, f"attributeGroup {parent.name!r}", c.position)
-                continue
-            where = f"attribute {c.name!r} of {context[id(parent)]}"
-            _check_type_ref(model, c.datatype, where, c.position)
+            owner = context[id(parent)]
+            where = f"attribute {c.name!r} of {owner}"
+            # an unresolved type in an attributeGroup names the group alone
+            _check_type_ref(model, c.datatype,
+                            owner if type(parent) is AttrGroupDecl else where, c.position)
             if isinstance(c.datatype, NamedTypeRef):
                 if not isinstance(model.type_named(c.datatype.name), SimpleType):
                     raise SchemaError(c.position, f"{where} must reference a simple type")
@@ -873,13 +880,25 @@ class ValidationReport:
         return not self.violations
 
 
+def _occurs(members) -> tuple[int, int | None]:
+    """The minimum and maximum total occurrences of one name's members in
+    a type content; the maximum is None when any member is unbounded."""
+    if len(members) == 1:  # the common case, without the sums below
+        p = members[0][0]
+        return p.min_occurs, p.max_occurs
+    return (sum(p.min_occurs for p, _ in members),
+            None if any(p.max_occurs is None for p, _ in members)
+            else sum(p.max_occurs for p, _ in members))
+
+
 class _Validator:
-    def __init__(self, model: SchemaModel):
+    def __init__(self, model: SchemaModel, violations: list[Violation]):
         self.model = model
         self.view = model.resolved
-        self.violations: list[Violation] = []
-        self.tables: dict[int, tuple[dict, tuple[str, ...]]] = {}  # `occurrence`
-        # Where the visit is: the root's name, then a name and a same-name
+        self.violations = violations
+        self.required_names: dict[int, tuple[str, ...]] = {}  # `required`
+        self.ranks: dict[int, dict[str, int]] = {}  # particle order, for reports
+        # Where the walk is: the root's name, then a name and a same-name
         # sibling ordinal per level. It becomes a path string only when a
         # violation is reported, so a valid document formats none.
         self.trail: list[str | int] = []
@@ -896,43 +915,35 @@ class _Validator:
             return self.model.type_named(ref.name)
         return ref
 
-    def occurrence(self, content: TypeContent):
-        """The type content's occurrence table, built on first use: name ->
-        (rank, minimum, maximum) per particle name, and the names whose
-        minimum is above 0. The rank is the name's position in
-        `content.particles`; minimum and maximum sum over its members, and
-        maximum is None when any member is unbounded. Held by the
-        validator, not the schema, so the tables end with the validation."""
-        found = self.tables.get(id(content))
+    def required(self, content: TypeContent) -> tuple[str, ...]:
+        """The type content's names whose minimum is above 0, in particle
+        order, found on first use. Held by the validator, not the schema,
+        so they end with the walk."""
+        found = self.required_names.get(id(content))
         if found is None:
-            bounds = {
-                name: (rank, sum(p.min_occurs for p, _ in members),
-                       None if any(p.max_occurs is None for p, _ in members)
-                       else sum(p.max_occurs for p, _ in members))
-                for rank, (name, members) in enumerate(content.particles.items())
-            }
-            required = tuple(name for name, (_, low, _) in bounds.items() if low > 0)
-            found = self.tables[id(content)] = (bounds, required)
+            found = self.required_names[id(content)] = tuple(
+                name for name, members in content.particles.items()
+                if _occurs(members)[0] > 0
+            )
         return found
 
-    def lexical_name(self, ref) -> str | None:
-        """Built-in local name governing a simple type's lexical space."""
-        t = self.resolve_type(ref)
+    def check_simple_value(self, value: str, t, suffix: str = ""):
+        """Check a value against the lexical space of the resolved type `t`:
+        a built-in's own, or a simple type's base."""
         if isinstance(t, BuiltinRef):
-            return None if t.name in ("anyType", "anySimpleType") else t.name
-        if isinstance(t, SimpleType):
-            return t.base
-        return None
-
-    def check_simple_value(self, value: str, type_ref, suffix: str = ""):
-        lex = self.lexical_name(type_ref)
+            lex = None if t.name in ("anyType", "anySimpleType") else t.name
+        else:
+            lex = t.base if isinstance(t, SimpleType) else None
         if lex is not None and not lexically_valid(value, lex):
             self.complain("datatype", f"value {value!r} is not a valid xs:{lex}", suffix)
 
-    def visit(self, instance: XmlElement, type_ref):
+    def check(self, instance: XmlElement, type_ref):
+        """Check one element against its declared type, not its children:
+        (resolved type, flattened content or None when the type is not
+        complex, the child elements to walk)."""
         resolved = self.resolve_type(type_ref)
         if isinstance(resolved, BuiltinRef) and resolved.name == "anyType":
-            return
+            return resolved, None, ()
         if isinstance(resolved, (BuiltinRef, SimpleType)):
             for name, _ in instance.attributes:
                 if not name.is_ns_decl:
@@ -947,8 +958,8 @@ class _Validator:
                         f"element {child.name.local!r} not allowed inside "
                         f"simple-typed element",
                     )
-            self.check_simple_value(text_content(instance), type_ref)
-            return
+            self.check_simple_value(text_content(instance), resolved)
+            return resolved, None, ()
 
         content = self.view.content(resolved)
         attrs = content.attributes
@@ -960,7 +971,8 @@ class _Validator:
             if member is None:
                 self.complain("undeclared-attribute", f"undeclared attribute {name.local!r}")
             else:
-                self.check_simple_value(value, member[0].datatype, f"/@{name.local}")
+                self.check_simple_value(
+                    value, self.resolve_type(member[0].datatype), f"/@{name.local}")
         for name, (decl, _) in attrs.items():
             if decl.required and instance.attribute(name) is None:
                 self.complain("missing-attribute", f"required attribute {name!r} is missing")
@@ -976,19 +988,22 @@ class _Validator:
         # Only required names and names present can be out of bounds, so
         # the check costs no more than the instance, however many optional
         # names the type declares. Reports follow particle order.
-        bounds, required = self.occurrence(content)
-        off = [name for name in required if name not in counts]
+        particles = content.particles
+        off = [name for name in self.required(content) if name not in counts]
         for name, n in counts.items():
-            found = bounds.get(name)
-            if found is not None and (
-                n < found[1] or (found[2] is not None and n > found[2])
-            ):
-                off.append(name)
-        if off:
-            off.sort(key=lambda name: bounds[name][0])
+            members = particles.get(name)
+            if members is not None:
+                low, high = _occurs(members)
+                if n < low or (high is not None and n > high):
+                    off.append(name)
+        if len(off) > 1:
+            rank = self.ranks.get(id(content))
+            if rank is None:
+                rank = self.ranks[id(content)] = {name: i for i, name in enumerate(particles)}
+            off.sort(key=rank.__getitem__)
         for name in off:
             n = counts.get(name, 0)
-            _, min_total, max_total = bounds[name]
+            min_total, max_total = _occurs(particles[name])
             if n == 0:
                 self.complain("missing-child", f"required child {name!r} is missing")
             elif n < min_total:
@@ -999,34 +1014,61 @@ class _Validator:
                 self.complain(
                     "occurrence", f"child {name!r} occurs {n} times, maximum is {max_total}",
                 )
+        return resolved, content, children
 
-        particles = content.particles
-        trail = self.trail
-        ordinals: dict[str, int] = {}
+
+def walk_instances(doc: XmlDocument, schema: SchemaModel, violations: list[Violation]):
+    """Check the document against the schema, depth first in document
+    order on an explicit stack, appending each violation to `violations`
+    as it is found. Yields (ENTER, instance, member, type, content, ordinal)
+    once an element is checked and (LEAVE, ...) after its children: the
+    (particle, GroupUse or None) member that admitted it (None for the
+    root), its resolved type, that type's flattened content (None unless
+    the type is complex) and its 1-based ordinal among same-name siblings.
+    An element that no declaration admits yields no events."""
+    v = _Validator(schema, violations)
+    root, trail = doc.root, v.trail
+    trail.append(root.name.local)
+    decl = schema.element(root.name.local)
+    if decl is None:
+        v.complain("unknown-element", f"no global element {root.name.local!r}")
+        return
+    resolved, content, children = v.check(root, decl.type)
+    yield ENTER, root, None, resolved, content, 1
+    # per open element: its event fields, its children left to walk and
+    # the same-name counts of those walked
+    stack = [((root, None, resolved, content, 1), iter(children), {})]
+    while stack:
+        fields, children, ordinals = stack[-1]
         for child in children:
             name = child.name.local
             ordinal = ordinals[name] = ordinals.get(name, 0) + 1
-            trail.append(name)
-            trail.append(ordinal)
-            members = particles.get(name)
+            trail += (name, ordinal)
+            members = fields[3].particles.get(name)
             if members is None:
-                self.complain("unknown-element", f"unexpected element {name!r}")
-            else:
-                p = members[0][0]
-                self.visit(
-                    child, self.model.element(p.ref).type if p.ref is not None else p.decl.type
-                )
+                v.complain("unknown-element", f"unexpected element {name!r}")
+                del trail[-2:]
+                continue
+            member = members[0]
+            p = member[0]
+            resolved, content, below = v.check(
+                child, schema.element(p.ref).type if p.ref is not None else p.decl.type)
+            yield ENTER, child, member, resolved, content, ordinal
+            if below:  # resume `children` once the child's walk is done
+                stack.append(((child, member, resolved, content, ordinal), iter(below), {}))
+                break
             del trail[-2:]
+            yield LEAVE, child, member, resolved, content, ordinal
+        else:
+            stack.pop()
+            del trail[-2:]
+            yield (LEAVE, *fields)
 
 
 def validate(doc: XmlDocument, schema: SchemaModel) -> ValidationReport:
     """Structurally check a document against the schema; an empty report
     means the document conforms (within the supported construct set)."""
-    v = _Validator(schema)
-    v.trail.append(doc.root.name.local)
-    root_decl = schema.element(doc.root.name.local)
-    if root_decl is None:
-        v.complain("unknown-element", f"no global element {doc.root.name.local!r}")
-    else:
-        v.visit(doc.root, root_decl.type)
-    return ValidationReport(v.violations)
+    violations: list[Violation] = []
+    for _ in walk_instances(doc, schema, violations):
+        pass
+    return ValidationReport(violations)

@@ -108,6 +108,12 @@ def sparse_records_document(n: int) -> str:
     return f"<r>{records}</r>\n"
 
 
+def deep_document(n: int) -> str:
+    """n `a` elements, each inside the one before, each with its own id so
+    that individual IRIs stay short (path-ordinal names grow with depth)."""
+    return "".join(f'<a id="n{i:06d}">' for i in range(n)) + "</a>" * n + "\n"
+
+
 def work_events(run) -> int:
     """Line events inside the package while `run()` runs, plus the calls
     the package makes into Python code outside it (dataclass-generated
@@ -156,6 +162,8 @@ def assert_linear(counts: list[int]):
                  id="records-instances"),
     pytest.param(sparse_records_document, ["--with-instances"],
                  id="sparse-records-instances"),
+    pytest.param(deep_document, ["--with-instances", "--format", "both"],
+                 id="deep-instances"),
 ])
 def test_generate_work_grows_linearly(tmp_path, source, flags):
     suffix = ".xsd" if source.__name__.endswith("_schema") else ".xml"
@@ -204,6 +212,29 @@ def test_deep_schema_graph(tmp_path, source):
     path.write_text(source(DEEP))
     assert cli.main(["graph", str(path), str(tmp_path / "deep.dot")]) == 0
     assert (tmp_path / "deep.dot").read_text().count("->") >= 2 * DEEP
+
+
+# Nor may the depth of an instance document: validation and population
+# share one explicit-stack walk (`xsdmodel.walk_instances`).
+
+
+@pytest.mark.parametrize("document", [
+    # the `<a>`-in-`<a>` shape that once ran out of frames at 1000 levels;
+    # without ids each IRI is the path, so the output grows with depth squared
+    pytest.param(lambda: "<a>" * 2000 + "</a>" * 2000 + "\n", id="2000"),
+    pytest.param(lambda: deep_document(100000), id="100000"),
+])
+def test_deep_document_populates(tmp_path, document):
+    limit = sys.getrecursionlimit()
+    path = tmp_path / "deep.xml"
+    path.write_text(document())
+    out = tmp_path / "out"
+    argv = ["generate", str(path), "--out-dir", str(out), "--with-instances",
+            "--format", "both"]
+    assert cli.main(argv) == 0
+    assert sys.getrecursionlimit() == limit
+    depth = path.read_text().count("</a>")
+    assert (out / "deep.ttl").read_text().count("owl:NamedIndividual") == depth
 
 
 def test_infer_schema_many_optional_children_grows_linearly(tmp_path):

@@ -260,6 +260,8 @@ CASES = {
                                                      'type="t"/>'),
     "attribute-complex-type": CT.format('<xs:attribute name="x" type="t"/>')
                               + '<xs:complexType name="t"/>',
+    "attribute-group-complex-type": AGROUP.format('name="g"><xs:attribute name="x" '
+                                                  'type="t"/>') + '<xs:complexType name="t"/>',
     "unresolved-element-ref": SEQ.format('<xs:element ref="b"/>'),
     "unresolved-group-element-ref": GROUP.format('name="g"><xs:sequence>'
                                                  '<xs:element ref="b"/></xs:sequence>'),
@@ -316,6 +318,11 @@ def test_errors_match_digests(digests, family):
 
 def test_every_hand_written_case_fails():
     assert [name for name, error in case_errors().items() if error is None] == []
+
+
+def test_attribute_group_attribute_must_be_simple():
+    message, _ = case_errors()["attribute-group-complex-type"]
+    assert message == "attribute 'x' of attributeGroup 'g' must reference a simple type"
 
 
 def test_mutations_find_sites_and_errors():

@@ -157,3 +157,14 @@ def test_round_trip_fixed_point_random():
         doc = random_document(seed)
         again = parse_xml(serialize_xml(doc).encode(), doc.source_id)
         assert again == doc, f"seed {seed}"
+
+
+def test_round_trip_deep():
+    # compared as text: the dataclass `__eq__` of a deep tree recurses
+    depth = 5000
+    text = ('<?xml version="1.0" encoding="UTF-8"?>\n'
+            + '<a n="1 &amp; 2">x&lt;' * depth + "<b/>" + "</a>" * depth + "\n")
+    doc = parse_xml(text.encode(), "t")
+    assert serialize_xml(doc) == text
+    again = parse_xml(serialize_xml(doc).encode(), "t")
+    assert serialize_xml(again) == text
