@@ -111,7 +111,7 @@ class _Populator:
         value on its parent's; on leave, close the individual."""
         open_, resolution, path, datatype = (
             self.open, self.resolution, self.view.path, self.datatype)
-        for event, instance, member, ct, content, ordinal in events:
+        for event, instance, member, ct, content, ordinal, text in events:
             if violations:
                 continue  # the walk still checks the rest of the document
             if event is LEAVE:
@@ -126,9 +126,8 @@ class _Populator:
                 obj_sink, data_sink = (parent[4], parent[5]) if use is None \
                     else self.holder(parent, use)
                 prop_iri = resolution[path(particle)]
-                if content is None:
-                    data_sink.append(
-                        (prop_iri, text_content(instance), datatype[prop_iri]))
+                if content is None:  # the walk read its text for the check
+                    data_sink.append((prop_iri, text, datatype[prop_iri]))
                 else:
                     iri = self.push(instance, f"{instance.name.local}_{ordinal}")
                     obj_sink.append((prop_iri, iri))

@@ -1,7 +1,8 @@
 """Command-line pipeline: XML (or XSD) sources in, ontology files out.
 
 Each input is processed independently into its own local ontology under
-<base-iri>/<stem>; nothing is merged across sources. Exit codes: 0 ok,
+<base-iri>/<stem>; nothing is merged across sources, and inputs whose
+stems collide are rejected before any is processed. Exit codes: 0 ok,
 1 usage, 2 XML parse error or unreadable input, 3 schema or validation
 error, 4 internal invariant violation (a bug). With several inputs every
 source is attempted and the first nonzero code in input order wins.
@@ -13,16 +14,20 @@ import argparse
 import logging
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 from .abox import DocumentInvalid, NamingCollision, populate
 from .infer import InferenceConflict, RootMismatch, infer_schema
-from .owlgen import GenOptions, generate_tbox, write_trace
-from .owlmodel import check_dl_profile, serialize_rdfxml, serialize_turtle
-from .xmldoc import ParseError, parse_xml
-from .xsdmodel import SchemaError, read_schema, serialize_schema
+from .owlgen import GenOptions, MappingTrace, generate_tbox, write_trace
+from .owlmodel import (
+    OntologyModel,
+    check_dl_profile,
+    serialize_rdfxml,
+    serialize_turtle,
+)
+from .xmldoc import ParseError, XmlDocument, parse_xml
+from .xsdmodel import SchemaError, SchemaModel, read_schema, serialize_schema
 from .xsg import EmptySchema, build_xsg, to_dot
 
 logger = logging.getLogger("xsgowl")
@@ -66,13 +71,16 @@ class _WarningCounter(logging.Handler):
 
 
 def _atomic_write(path: Path, content: str):
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    """Write `content` to a temporary file beside `path`, then rename it
+    over `path`. The temporary file is created with mode 0o666, so the
+    kernel applies the process umask as it does to any new file; its name
+    ends in the process id and 64 random bits, and O_EXCL refuses a name
+    that is already taken."""
+    tmp = path.parent / f".{path.name}.{os.getpid()}.{os.urandom(8).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
             f.write(content)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp defaults to 0600
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -102,63 +110,82 @@ def _source_kind(path: str, override: str | None) -> str:
 
 def _load_schema(path: str, kind: str):
     """(schema, document-or-None) for one source file."""
-    data = _read_bytes(path)
     if kind == "xsd":
+        data = _read_bytes(path)
         try:
             return read_schema(data, path), None
         except ParseError as exc:
             raise _SourceFailure(EXIT_PARSE, f"{path}: {exc}")
         except SchemaError as exc:
             raise _SourceFailure(EXIT_SCHEMA, f"{path}: {exc}")
-    try:
-        doc = parse_xml(data, path)
-    except ParseError as exc:
-        raise _SourceFailure(EXIT_PARSE, f"{path}: {exc}")
+    doc = _parse_document(path)
     try:
         return infer_schema([doc]), doc
     except (RootMismatch, InferenceConflict) as exc:
         raise _SourceFailure(EXIT_SCHEMA, f"{path}: {exc}")
 
 
-def _process_source(path: str, cfg: RunConfig) -> str:
-    stem = Path(path).stem
-    out_dir = Path(cfg.out_dir)
-    kind = _source_kind(path, cfg.input_kind)
-    schema, doc = _load_schema(path, kind)
+def _parse_document(path: str) -> XmlDocument:
+    """One XML source's document tree; its bytes are freed on return."""
+    data = _read_bytes(path)
+    try:
+        return parse_xml(data, path)
+    except ParseError as exc:
+        raise _SourceFailure(EXIT_PARSE, f"{path}: {exc}")
 
-    if cfg.emit_schema:
-        _atomic_write(out_dir / f"{stem}.xsd", serialize_schema(schema))
 
+def _tbox(path: str, stem: str, schema: SchemaModel,
+          cfg: RunConfig) -> tuple[OntologyModel, MappingTrace]:
+    """(TBox, mapping trace) of one source's schema, writing the schema
+    graph's DOT file if asked; the graph is freed on return."""
     try:
         graph = build_xsg(schema)
     except EmptySchema as exc:
         raise _SourceFailure(EXIT_SCHEMA, f"{path}: {exc}")
     if cfg.emit_dot:
-        _atomic_write(out_dir / f"{stem}.dot", to_dot(graph))
-
+        _atomic_write(Path(cfg.out_dir) / f"{stem}.dot", to_dot(graph))
     opts = GenOptions(
         base_iri=f"{cfg.base_iri}/{stem}",
         emit_cardinality=cfg.with_cardinality,
         union_domains=not cfg.literal_domains,
         strict_dl=cfg.strict_dl,
     )
-    ontology, trace = generate_tbox(schema, graph, opts)
+    return generate_tbox(schema, graph, opts)
+
+
+def _ontology(path: str, stem: str, cfg: RunConfig) -> OntologyModel:
+    """One source's ontology, populated if asked, writing the schema and
+    trace files if asked. Only the ontology outlives this call: the
+    document, the schema and the mapping trace are freed on return, before
+    any ontology writer runs."""
+    out_dir = Path(cfg.out_dir)
+    schema, doc = _load_schema(path, _source_kind(path, cfg.input_kind))
+    if cfg.emit_schema:
+        _atomic_write(out_dir / f"{stem}.xsd", serialize_schema(schema))
+
+    ontology, trace = _tbox(path, stem, schema, cfg)
     for warning in check_dl_profile(ontology):
         logger.warning("%s: %s", stem, warning)
     if cfg.emit_trace:
         _atomic_write(out_dir / f"{stem}.trace.tsv", write_trace(trace))
 
-    if cfg.with_instances:
-        if doc is None:
-            logger.warning(
-                "%s: --with-instances has no effect on schema inputs", stem
-            )
-        else:
-            try:
-                ontology = populate(doc, schema, ontology, trace)
-            except (DocumentInvalid, NamingCollision) as exc:
-                raise _SourceFailure(EXIT_SCHEMA, f"{path}: {exc}")
+    if not cfg.with_instances:
+        return ontology
+    if doc is None:
+        logger.warning(
+            "%s: --with-instances has no effect on schema inputs", stem
+        )
+        return ontology
+    try:
+        return populate(doc, schema, ontology, trace)
+    except (DocumentInvalid, NamingCollision) as exc:
+        raise _SourceFailure(EXIT_SCHEMA, f"{path}: {exc}")
 
+
+def _process_source(path: str, cfg: RunConfig) -> str:
+    stem = Path(path).stem
+    out_dir = Path(cfg.out_dir)
+    ontology = _ontology(path, stem, cfg)
     if cfg.format in ("turtle", "both"):
         _atomic_write(out_dir / f"{stem}.ttl", serialize_turtle(ontology))
     if cfg.format in ("rdfxml", "both"):
@@ -172,7 +199,24 @@ def _process_source(path: str, cfg: RunConfig) -> str:
     )
 
 
+def _stem_collision(inputs: list[str]) -> str | None:
+    """A message naming two inputs whose outputs would share a stem, and
+    so overwrite each other in the output directory; None if none do."""
+    seen: dict[str, str] = {}  # stem -> the first input with it
+    for path in inputs:
+        stem = Path(path).stem
+        if stem in seen:
+            return (f"inputs {seen[stem]} and {path} share the stem {stem!r}, "
+                    f"so their outputs would overwrite each other")
+        seen[stem] = path
+    return None
+
+
 def cmd_generate(cfg: RunConfig) -> int:
+    collision = _stem_collision(cfg.inputs)
+    if collision is not None:
+        logger.error("%s", collision)
+        return EXIT_USAGE
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     exit_code = EXIT_OK
     for path in cfg.inputs:

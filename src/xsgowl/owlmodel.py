@@ -12,6 +12,7 @@ byte-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .datatypes import is_ncname, lexically_valid
 
@@ -28,8 +29,11 @@ def xsd_iri(local: str) -> str:
     return XSD_NS + local
 
 
-@dataclass(frozen=True)
-class Iri:
+class Iri(NamedTuple):
+    """An IRI as its base and its fragment. A tuple, so it hashes and
+    compares in C: population and the model check hash it for every
+    assertion."""
+
     base: str
     fragment: str
 

@@ -23,7 +23,8 @@ validator here, the TBox generator and instance population all read it.
 `walk_instances` is the one traversal of an instance document, the
 validator's: an explicit stack that checks each element and then yields
 enter and leave events with the declaration member that admitted it, its
-resolved type and content and its sibling ordinal. `validate` drains it;
+resolved type and content, its sibling ordinal and, when its type is not
+complex, the text the check read. `validate` drains it;
 instance population (abox.py) builds individuals from the same events, so
 no document depth runs into Python's recursion limit either.
 
@@ -940,10 +941,11 @@ class _Validator:
     def check(self, instance: XmlElement, type_ref):
         """Check one element against its declared type, not its children:
         (resolved type, flattened content or None when the type is not
-        complex, the child elements to walk)."""
+        complex, the child elements to walk, the element's text or None
+        when the type is complex)."""
         resolved = self.resolve_type(type_ref)
         if isinstance(resolved, BuiltinRef) and resolved.name == "anyType":
-            return resolved, None, ()
+            return resolved, None, (), text_content(instance)
         if isinstance(resolved, (BuiltinRef, SimpleType)):
             for name, _ in instance.attributes:
                 if not name.is_ns_decl:
@@ -958,8 +960,9 @@ class _Validator:
                         f"element {child.name.local!r} not allowed inside "
                         f"simple-typed element",
                     )
-            self.check_simple_value(text_content(instance), resolved)
-            return resolved, None, ()
+            text = text_content(instance)
+            self.check_simple_value(text, resolved)
+            return resolved, None, (), text
 
         content = self.view.content(resolved)
         attrs = content.attributes
@@ -1014,17 +1017,19 @@ class _Validator:
                 self.complain(
                     "occurrence", f"child {name!r} occurs {n} times, maximum is {max_total}",
                 )
-        return resolved, content, children
+        return resolved, content, children, None
 
 
 def walk_instances(doc: XmlDocument, schema: SchemaModel, violations: list[Violation]):
     """Check the document against the schema, depth first in document
     order on an explicit stack, appending each violation to `violations`
-    as it is found. Yields (ENTER, instance, member, type, content, ordinal)
-    once an element is checked and (LEAVE, ...) after its children: the
-    (particle, GroupUse or None) member that admitted it (None for the
+    as it is found. Yields (ENTER, instance, member, type, content, ordinal,
+    text) once an element is checked and (LEAVE, ...) after its children:
+    the (particle, GroupUse or None) member that admitted it (None for the
     root), its resolved type, that type's flattened content (None unless
-    the type is complex) and its 1-based ordinal among same-name siblings.
+    the type is complex), its 1-based ordinal among same-name siblings and
+    its trimmed text (None when the type is complex), read once for the
+    check and its consumers.
     An element that no declaration admits yields no events."""
     v = _Validator(schema, violations)
     root, trail = doc.root, v.trail
@@ -1033,11 +1038,11 @@ def walk_instances(doc: XmlDocument, schema: SchemaModel, violations: list[Viola
     if decl is None:
         v.complain("unknown-element", f"no global element {root.name.local!r}")
         return
-    resolved, content, children = v.check(root, decl.type)
-    yield ENTER, root, None, resolved, content, 1
+    resolved, content, children, text = v.check(root, decl.type)
+    yield ENTER, root, None, resolved, content, 1, text
     # per open element: its event fields, its children left to walk and
     # the same-name counts of those walked
-    stack = [((root, None, resolved, content, 1), iter(children), {})]
+    stack = [((root, None, resolved, content, 1, text), iter(children), {})]
     while stack:
         fields, children, ordinals = stack[-1]
         for child in children:
@@ -1051,14 +1056,15 @@ def walk_instances(doc: XmlDocument, schema: SchemaModel, violations: list[Viola
                 continue
             member = members[0]
             p = member[0]
-            resolved, content, below = v.check(
+            resolved, content, below, text = v.check(
                 child, schema.element(p.ref).type if p.ref is not None else p.decl.type)
-            yield ENTER, child, member, resolved, content, ordinal
+            yield ENTER, child, member, resolved, content, ordinal, text
             if below:  # resume `children` once the child's walk is done
-                stack.append(((child, member, resolved, content, ordinal), iter(below), {}))
+                stack.append(((child, member, resolved, content, ordinal, text),
+                              iter(below), {}))
                 break
             del trail[-2:]
-            yield LEAVE, child, member, resolved, content, ordinal
+            yield LEAVE, child, member, resolved, content, ordinal, text
         else:
             stack.pop()
             del trail[-2:]

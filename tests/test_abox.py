@@ -248,3 +248,24 @@ def test_split_individuals(pipeline, bibliography_single_xml):
     assert (BASE + "/abox", "http://www.w3.org/2002/07/owl#imports", BASE) in triples
     # entities keep the TBox base even though the document IRI differs
     assert f"@prefix : <{BASE}#> ." in ttl
+
+
+def test_each_leaf_text_read_once(pipeline, bibliography_xml, monkeypatch):
+    # the walk's check reads a simple-typed leaf's text and hands it on in
+    # its event, so population reads no leaf's text a second time
+    import xsgowl.abox as abox_module
+    import xsgowl.xsdmodel as xsdmodel_module
+    from xsgowl.xmldoc import text_content
+
+    schema, tbox, trace = pipeline
+    doc = parse_xml(bibliography_xml, "b")
+    reads: list[int] = []
+
+    def counted(element):
+        reads.append(id(element))
+        return text_content(element)
+
+    monkeypatch.setattr(xsdmodel_module, "text_content", counted)
+    monkeypatch.setattr(abox_module, "text_content", counted)
+    populate(doc, schema, tbox, trace)
+    assert reads and len(reads) == len(set(reads))

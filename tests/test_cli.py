@@ -1,6 +1,9 @@
+import gc
+import os
 import re
 import shutil
 import subprocess
+import weakref
 
 import pytest
 
@@ -320,3 +323,96 @@ def test_api_entry_points(tmp_path, data_dir):
                             str(tmp_path / "i.xsd")) == EXIT_OK
     assert cmd_graph(str(data_dir / "bibliography.xsd"),
                      str(tmp_path / "g.dot")) == EXIT_OK
+
+
+def test_stage_data_freed_after_last_consumer(tmp_path, data_dir, monkeypatch):
+    # With the collector off only reference counts free a stage's data, so
+    # whatever a later stage finds alive is still referenced by the pipeline.
+    import xsgowl.cli as cli_module
+
+    refs: dict[str, weakref.ref] = {}
+    dead_at: dict[str, dict[str, bool]] = {}
+
+    def keep(stage, name, pick=lambda result: result):
+        real = getattr(cli_module, stage)
+
+        def wrapper(*args):
+            result = real(*args)
+            refs[name] = weakref.ref(pick(result))
+            return result
+        monkeypatch.setattr(cli_module, stage, wrapper)
+
+    def check(stage, names):
+        real = getattr(cli_module, stage)
+
+        def wrapper(*args):
+            dead_at[stage] = {name: refs[name]() is None for name in names}
+            return real(*args)
+        monkeypatch.setattr(cli_module, stage, wrapper)
+
+    keep("parse_xml", "document")
+    keep("infer_schema", "schema")
+    keep("build_xsg", "graph")
+    keep("generate_tbox", "trace", pick=lambda tbox_and_trace: tbox_and_trace[1])
+    every = ["document", "schema", "graph", "trace"]
+    check("populate", ["graph"])
+    check("serialize_turtle", every)
+    check("serialize_rdfxml", every)
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code = run(["generate", str(data_dir / "bibliography.xml"),
+                    "--out-dir", str(tmp_path), "--with-instances",
+                    "--format", "both", "--emit-dot", "--emit-trace"])
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert code == EXIT_OK
+    assert dead_at == {
+        "populate": {"graph": True},
+        "serialize_turtle": dict.fromkeys(every, True),
+        "serialize_rdfxml": dict.fromkeys(every, True),
+    }
+
+
+def test_inputs_sharing_a_stem_rejected(tmp_path, data_dir, capsys):
+    xml = str(data_dir / "bibliography.xml")
+    xsd = str(data_dir / "bibliography.xsd")
+    code = run(["generate", xml, xsd, "--out-dir", str(tmp_path / "out"),
+                "--with-instances", "--format", "both"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert xml in captured.err and xsd in captured.err
+    assert not (tmp_path / "out").exists()  # nothing processed
+
+
+def test_output_mode_follows_umask(tmp_path, data_dir):
+    old = os.umask(0o022)
+    try:
+        code = run(["generate", str(data_dir / "bibliography.xml"),
+                    "--out-dir", str(tmp_path), "--format", "both"])
+    finally:
+        os.umask(old)
+    assert code == EXIT_OK
+    for name in ("bibliography.ttl", "bibliography.rdf"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o644, name
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path):
+    from xsgowl.cli import _atomic_write
+    target = tmp_path / "out.ttl"
+    with pytest.raises(UnicodeEncodeError):
+        _atomic_write(target, "a lone surrogate \ud800 cannot be encoded")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_never_changes_the_umask(tmp_path, data_dir, monkeypatch):
+    calls = []
+    monkeypatch.setattr(os, "umask", lambda *args: calls.append(args))
+    code = run(["generate", str(data_dir / "bibliography.xml"),
+                "--out-dir", str(tmp_path), "--format", "both",
+                "--emit-schema", "--emit-dot", "--emit-trace"])
+    assert code == EXIT_OK
+    assert calls == []

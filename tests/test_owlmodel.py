@@ -49,6 +49,14 @@ def small_model(**overrides) -> OntologyModel:
     return OntologyModel(**fields)
 
 
+def test_iri_hashes_and_compares_by_base_and_fragment():
+    a = iri("author")
+    assert hash(a) == hash((BASE, "author"))  # the value it had as a dataclass
+    assert a == Iri(BASE, "author")
+    assert a != iri("biblioentry") and a != Iri(BASE + "/abox", "author")
+    assert a.full == f"{BASE}#author"
+
+
 def test_empty_ontology_turtle():
     ttl = serialize_turtle(OntologyModel(ontology_iri=BASE))
     triples = parse_turtle(ttl)
