@@ -2,7 +2,7 @@
 build the schema graph, and map it to an OWL-DL ontology with a
 mapping trace and optional individuals."""
 
-from .abox import IndividualNaming, NamingCollision, populate, split_individuals
+from .abox import IndividualNaming, NamingCollision, populate
 from .datatypes import infer_datatype, join_datatype
 from .infer import (
     ElementProfile,
@@ -75,7 +75,6 @@ __all__ = [
     "serialize_rdfxml",
     "serialize_schema",
     "serialize_turtle",
-    "split_individuals",
     "text_content",
     "to_dot",
     "validate",

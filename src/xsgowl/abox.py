@@ -200,14 +200,3 @@ def populate(
     if populator.collision is not None:
         raise populator.collision
     return replace(tbox, individuals=tuple(populator.out))
-
-
-def split_individuals(model: OntologyModel) -> tuple[OntologyModel, OntologyModel]:
-    """Separate TBox and ABox documents; the ABox imports the TBox."""
-    tbox = replace(model, individuals=())
-    abox = OntologyModel(
-        ontology_iri=model.ontology_iri + "/abox",
-        individuals=model.individuals,
-        imports=(model.ontology_iri,),
-    )
-    return tbox, abox

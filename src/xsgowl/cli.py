@@ -3,9 +3,10 @@
 Each input is processed independently into its own local ontology under
 <base-iri>/<stem>; nothing is merged across sources, and inputs whose
 stems collide are rejected before any is processed. Exit codes: 0 ok,
-1 usage, 2 XML parse error or unreadable input, 3 schema or validation
-error, 4 internal invariant violation (a bug). With several inputs every
-source is attempted and the first nonzero code in input order wins.
+1 usage or an output that cannot be written, 2 XML parse error or
+unreadable input, 3 schema or validation error, 4 internal invariant
+violation (a bug). With several inputs every source is attempted and the
+first nonzero code in input order wins.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .abox import DocumentInvalid, NamingCollision, populate
@@ -26,7 +28,7 @@ from .owlmodel import (
     serialize_rdfxml,
     serialize_turtle,
 )
-from .xmldoc import ParseError, XmlDocument, parse_xml
+from .xmldoc import ParseError, parse_xml
 from .xsdmodel import SchemaError, SchemaModel, read_schema, serialize_schema
 from .xsg import EmptySchema, build_xsg, to_dot
 
@@ -61,6 +63,38 @@ class _SourceFailure(Exception):
         self.code = code
 
 
+# The exit code of each library error, looked up by exact type: a subclass
+# of ValueError such as DocumentInvalid must not turn a plain ValueError,
+# which only a bug raises, into a documented exit.
+_EXIT_CODES: dict[type[Exception], int] = {
+    ParseError: EXIT_PARSE,
+    SchemaError: EXIT_SCHEMA,
+    RootMismatch: EXIT_SCHEMA,
+    InferenceConflict: EXIT_SCHEMA,
+    EmptySchema: EXIT_SCHEMA,
+    DocumentInvalid: EXIT_SCHEMA,
+    NamingCollision: EXIT_SCHEMA,
+}
+
+
+def _attempt(path: str, step: Callable[[], object]) -> int:
+    """Run `step` on the source `path` and return its exit code. Every
+    subcommand decides its exit codes here and nowhere else."""
+    try:
+        step()
+    except _SourceFailure as exc:
+        logger.error("%s", exc)
+        return exc.code
+    except Exception as exc:
+        code = _EXIT_CODES.get(type(exc))
+        if code is None:
+            logger.exception("internal error while processing %s", path)
+            return EXIT_INTERNAL
+        logger.error("%s: %s", path, exc)
+        return code
+    return EXIT_OK
+
+
 class _WarningCounter(logging.Handler):
     def __init__(self):
         super().__init__(level=logging.WARNING)
@@ -75,16 +109,20 @@ def _atomic_write(path: Path, content: str):
     over `path`. The temporary file is created with mode 0o666, so the
     kernel applies the process umask as it does to any new file; its name
     ends in the process id and 64 random bits, and O_EXCL refuses a name
-    that is already taken."""
+    that is already taken. A file that cannot be written is a usage error
+    and leaves no temporary file behind."""
     tmp = path.parent / f".{path.name}.{os.getpid()}.{os.urandom(8).hex()}"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-            f.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
+                f.write(content)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise _SourceFailure(EXIT_USAGE, f"cannot write {path}: {exc.strerror}")
 
 
 def _read_bytes(path: str) -> bytes:
@@ -109,39 +147,19 @@ def _source_kind(path: str, override: str | None) -> str:
 
 
 def _load_schema(path: str, kind: str):
-    """(schema, document-or-None) for one source file."""
+    """(schema, document-or-None) for one source file; the source's bytes
+    are freed once it is parsed."""
     if kind == "xsd":
-        data = _read_bytes(path)
-        try:
-            return read_schema(data, path), None
-        except ParseError as exc:
-            raise _SourceFailure(EXIT_PARSE, f"{path}: {exc}")
-        except SchemaError as exc:
-            raise _SourceFailure(EXIT_SCHEMA, f"{path}: {exc}")
-    doc = _parse_document(path)
-    try:
-        return infer_schema([doc]), doc
-    except (RootMismatch, InferenceConflict) as exc:
-        raise _SourceFailure(EXIT_SCHEMA, f"{path}: {exc}")
+        return read_schema(_read_bytes(path), path), None
+    doc = parse_xml(_read_bytes(path), path)
+    return infer_schema([doc]), doc
 
 
-def _parse_document(path: str) -> XmlDocument:
-    """One XML source's document tree; its bytes are freed on return."""
-    data = _read_bytes(path)
-    try:
-        return parse_xml(data, path)
-    except ParseError as exc:
-        raise _SourceFailure(EXIT_PARSE, f"{path}: {exc}")
-
-
-def _tbox(path: str, stem: str, schema: SchemaModel,
+def _tbox(stem: str, schema: SchemaModel,
           cfg: RunConfig) -> tuple[OntologyModel, MappingTrace]:
     """(TBox, mapping trace) of one source's schema, writing the schema
     graph's DOT file if asked; the graph is freed on return."""
-    try:
-        graph = build_xsg(schema)
-    except EmptySchema as exc:
-        raise _SourceFailure(EXIT_SCHEMA, f"{path}: {exc}")
+    graph = build_xsg(schema)
     if cfg.emit_dot:
         _atomic_write(Path(cfg.out_dir) / f"{stem}.dot", to_dot(graph))
     opts = GenOptions(
@@ -163,7 +181,7 @@ def _ontology(path: str, stem: str, cfg: RunConfig) -> OntologyModel:
     if cfg.emit_schema:
         _atomic_write(out_dir / f"{stem}.xsd", serialize_schema(schema))
 
-    ontology, trace = _tbox(path, stem, schema, cfg)
+    ontology, trace = _tbox(stem, schema, cfg)
     for warning in check_dl_profile(ontology):
         logger.warning("%s: %s", stem, warning)
     if cfg.emit_trace:
@@ -176,26 +194,28 @@ def _ontology(path: str, stem: str, cfg: RunConfig) -> OntologyModel:
             "%s: --with-instances has no effect on schema inputs", stem
         )
         return ontology
-    try:
-        return populate(doc, schema, ontology, trace)
-    except (DocumentInvalid, NamingCollision) as exc:
-        raise _SourceFailure(EXIT_SCHEMA, f"{path}: {exc}")
+    return populate(doc, schema, ontology, trace)
 
 
-def _process_source(path: str, cfg: RunConfig) -> str:
+def _process_source(path: str, cfg: RunConfig):
+    """Write one source's ontology and print its summary line."""
     stem = Path(path).stem
     out_dir = Path(cfg.out_dir)
-    ontology = _ontology(path, stem, cfg)
-    if cfg.format in ("turtle", "both"):
-        _atomic_write(out_dir / f"{stem}.ttl", serialize_turtle(ontology))
-    if cfg.format in ("rdfxml", "both"):
-        _atomic_write(out_dir / f"{stem}.rdf", serialize_rdfxml(ontology))
-
-    return (
+    counter = _WarningCounter()
+    logger.addHandler(counter)
+    try:
+        ontology = _ontology(path, stem, cfg)
+        if cfg.format in ("turtle", "both"):
+            _atomic_write(out_dir / f"{stem}.ttl", serialize_turtle(ontology))
+        if cfg.format in ("rdfxml", "both"):
+            _atomic_write(out_dir / f"{stem}.rdf", serialize_rdfxml(ontology))
+    finally:
+        logger.removeHandler(counter)
+    print(
         f"{stem}: {len(ontology.classes)} classes, "
         f"{len(ontology.object_properties)} object properties, "
         f"{len(ontology.datatype_properties)} datatype properties, "
-        f"{len(ontology.individuals)} individuals"
+        f"{len(ontology.individuals)} individuals, {counter.count} warnings"
     )
 
 
@@ -217,64 +237,31 @@ def cmd_generate(cfg: RunConfig) -> int:
     if collision is not None:
         logger.error("%s", collision)
         return EXIT_USAGE
-    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    try:
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        logger.error("cannot create %s: %s", cfg.out_dir, exc.strerror)
+        return EXIT_USAGE
     exit_code = EXIT_OK
     for path in cfg.inputs:
-        counter = _WarningCounter()
-        logger.addHandler(counter)
-        try:
-            summary = _process_source(path, cfg)
-            print(f"{summary}, {counter.count} warnings")
-        except _SourceFailure as exc:
-            logger.error("%s", exc)
-            if exit_code == EXIT_OK:
-                exit_code = exc.code
-        except Exception:
-            logger.exception("internal error while processing %s", path)
-            if exit_code == EXIT_OK:
-                exit_code = EXIT_INTERNAL
-        finally:
-            logger.removeHandler(counter)
+        code = _attempt(path, lambda: _process_source(path, cfg))
+        exit_code = exit_code or code
     return exit_code
 
 
 def cmd_infer_schema(input_path: str, output_path: str) -> int:
-    try:
-        data = _read_bytes(input_path)
-        try:
-            doc = parse_xml(data, input_path)
-            schema = infer_schema([doc])
-        except ParseError as exc:
-            raise _SourceFailure(EXIT_PARSE, f"{input_path}: {exc}")
-        except (RootMismatch, InferenceConflict) as exc:
-            raise _SourceFailure(EXIT_SCHEMA, f"{input_path}: {exc}")
+    def step():
+        schema, _ = _load_schema(input_path, "xml")
         _atomic_write(Path(output_path), serialize_schema(schema))
-    except _SourceFailure as exc:
-        logger.error("%s", exc)
-        return exc.code
-    except Exception:
-        logger.exception("internal error while processing %s", input_path)
-        return EXIT_INTERNAL
-    return EXIT_OK
+    return _attempt(input_path, step)
 
 
 def cmd_graph(input_path: str, output_path: str,
               input_kind: str | None = None) -> int:
-    try:
-        kind = _source_kind(input_path, input_kind)
-        schema, _ = _load_schema(input_path, kind)
-        try:
-            graph = build_xsg(schema)
-        except EmptySchema as exc:
-            raise _SourceFailure(EXIT_SCHEMA, f"{input_path}: {exc}")
-        _atomic_write(Path(output_path), to_dot(graph))
-    except _SourceFailure as exc:
-        logger.error("%s", exc)
-        return exc.code
-    except Exception:
-        logger.exception("internal error while processing %s", input_path)
-        return EXIT_INTERNAL
-    return EXIT_OK
+    def step():
+        schema, _ = _load_schema(input_path, _source_kind(input_path, input_kind))
+        _atomic_write(Path(output_path), to_dot(build_xsg(schema)))
+    return _attempt(input_path, step)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -312,22 +299,17 @@ def _build_parser() -> _Parser:
     gen.add_argument("--with-cardinality", action="store_true")
     gen.add_argument("--strict-dl", action="store_true")
     gen.add_argument("--literal-domains", action="store_true")
-    gen.add_argument("--input-kind", choices=["xml", "xsd"])
-    gen.add_argument("--log-level", choices=["quiet", "normal", "verbose"],
-                     default="normal")
 
     inf = sub.add_parser("infer-schema", help="infer an XSD from an XML document")
-    inf.add_argument("input", metavar="INPUT")
-    inf.add_argument("output", metavar="OUTPUT")
-    inf.add_argument("--log-level", choices=["quiet", "normal", "verbose"],
-                     default="normal")
-
     gr = sub.add_parser("graph", help="write the schema graph as Graphviz DOT")
-    gr.add_argument("input", metavar="INPUT")
-    gr.add_argument("output", metavar="OUTPUT")
-    gr.add_argument("--input-kind", choices=["xml", "xsd"])
-    gr.add_argument("--log-level", choices=["quiet", "normal", "verbose"],
-                    default="normal")
+    for command in (inf, gr):
+        command.add_argument("input", metavar="INPUT")
+        command.add_argument("output", metavar="OUTPUT")
+    for command in (gen, gr):
+        command.add_argument("--input-kind", choices=["xml", "xsd"])
+    for command in (gen, inf, gr):
+        command.add_argument("--log-level", choices=["quiet", "normal", "verbose"],
+                             default="normal")
     return parser
 
 
@@ -335,20 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     _setup_logging(args.log_level)
     if args.command == "generate":
-        cfg = RunConfig(
-            inputs=args.inputs,
-            out_dir=args.out_dir,
-            base_iri=args.base_iri,
-            format=args.format,
-            emit_schema=args.emit_schema,
-            emit_dot=args.emit_dot,
-            emit_trace=args.emit_trace,
-            with_instances=args.with_instances,
-            with_cardinality=args.with_cardinality,
-            strict_dl=args.strict_dl,
-            literal_domains=args.literal_domains,
-            input_kind=args.input_kind,
-        )
+        cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
         if not cfg.base_iri.startswith(("http://", "https://", "urn:", "file://")):
             logger.error("--base-iri must be absolute, got %r", cfg.base_iri)
             return EXIT_USAGE

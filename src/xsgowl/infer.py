@@ -207,7 +207,7 @@ def profiles_to_schema(
             etype = BuiltinRef(p.text_type)
         else:
             etype = ComplexType(name=None)  # always empty: no text, no children
-        elements.append(ElementDecl(name, etype, scope="global"))
+        elements.append(ElementDecl(name, etype))
     return SchemaModel(tuple(elements), source_id=source_id)
 
 

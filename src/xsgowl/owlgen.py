@@ -219,7 +219,7 @@ class _Generator:
                     RULE_SUBCLASS_EXT if kind == "extension" else RULE_SUBCLASS_RESTR,
                     iri,
                 ))
-            classes.append(OwlClass(iri, label, subclass_of, origin=path))
+            classes.append(OwlClass(iri, label, subclass_of))
             class_bridges.append(Bridge(path, KIND_CLASS, rule, iri))
         return classes, class_bridges + subclass_bridges
 
@@ -341,7 +341,6 @@ class _Generator:
                 domain=tuple(sorted(rec.domains, key=lambda i: i.fragment)),
                 range=rec.ranges[0],
                 cardinality=cardinality,
-                origin=rec.paths[0],
             )
             object_properties.append(prop)
             bridges.append(Bridge(rec.paths[0], KIND_OBJECT_PROPERTY, rec.rule, prop.iri))
@@ -355,7 +354,6 @@ class _Generator:
                 iri=self.iri(fragment),
                 domain=tuple(sorted(rec.domains, key=lambda i: i.fragment)),
                 range=_join_ranges(rec.ranges),
-                origin=rec.paths[0],
             )
             datatype_properties.append(prop)
             bridges.append(Bridge(rec.paths[0], KIND_DATATYPE_PROPERTY, rec.rule, prop.iri))

@@ -47,7 +47,6 @@ class OwlClass:
     iri: Iri
     label: str
     subclass_of: Iri | None = None
-    origin: str = field(compare=False, default="")
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,6 @@ class ObjectProperty:
     domain: tuple[Iri, ...]
     range: Iri
     cardinality: tuple[int, int | None] | None = None
-    origin: str = field(compare=False, default="")
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,6 @@ class DatatypeProperty:
     iri: Iri
     domain: tuple[Iri, ...]
     range: str  # full datatype IRI
-    origin: str = field(compare=False, default="")
 
 
 @dataclass(frozen=True)
@@ -82,7 +79,6 @@ class OntologyModel:
     object_properties: tuple[ObjectProperty, ...] = ()
     datatype_properties: tuple[DatatypeProperty, ...] = ()
     individuals: tuple[Individual, ...] = ()
-    imports: tuple[str, ...] = ()
     naming_notes: tuple[str, ...] = field(compare=False, default=())
 
     def __post_init__(self):
@@ -97,8 +93,6 @@ class OntologyModel:
                 if e.iri.fragment in seen:
                     raise ValueError(f"duplicate {name} fragment {e.iri.fragment!r}")
                 seen.add(e.iri.fragment)
-        if self.imports:
-            return  # cross-document references resolve in the imported ontology
         class_iris = {c.iri for c in self.classes}
         for c in self.classes:
             if c.subclass_of is not None and c.subclass_of not in class_iris:
@@ -232,15 +226,6 @@ def _cardinality_axioms(p: ObjectProperty) -> list[tuple[Iri, str, int]]:
     return axioms
 
 
-def _entity_base(o: OntologyModel) -> str:
-    """Base IRI the ':' prefix binds to; differs from the ontology IRI in
-    a split ABox document, whose entities live in the imported TBox."""
-    for group in (o.classes, o.object_properties, o.datatype_properties, o.individuals):
-        if group:
-            return group[0].iri.base
-    return o.ontology_iri
-
-
 def serialize_turtle(o: OntologyModel) -> str:
     base = o.ontology_iri
     out = [
@@ -248,17 +233,11 @@ def serialize_turtle(o: OntologyModel) -> str:
         f"@prefix rdf: <{RDF_NS}> .",
         f"@prefix rdfs: <{RDFS_NS}> .",
         f"@prefix xsd: <{XSD_NS}> .",
-        f"@prefix : <{_entity_base(o)}#> .",
+        f"@prefix : <{base}#> .",
+        "",
+        f"<{base}> a owl:Ontology .",
         "",
     ]
-    if o.imports:
-        out.append(f"<{base}> a owl:Ontology ;")
-        for i, imp in enumerate(o.imports):
-            sep = " ." if i == len(o.imports) - 1 else " ;"
-            out.append(f"    owl:imports <{imp}>{sep}")
-    else:
-        out.append(f"<{base}> a owl:Ontology .")
-    out.append("")
 
     for c in sorted(o.classes, key=lambda c: c.iri.fragment):
         lines = [f":{c.iri.fragment} a owl:Class ;"]
@@ -330,19 +309,12 @@ def serialize_rdfxml(o: OntologyModel) -> str:
         f'         xmlns:rdf="{RDF_NS}"',
         f'         xmlns:rdfs="{RDFS_NS}"',
         f'         xmlns:xsd="{XSD_NS}"',
-        f'         xmlns:ont="{_xml_attr(_entity_base(o) + "#")}">',
+        f'         xmlns:ont="{_xml_attr(base + "#")}">',
+        f'  <owl:Ontology rdf:about="{_xml_attr(base)}"/>',
     ]
 
     def about(iri: Iri) -> str:
         return _xml_attr(iri.full)
-
-    if o.imports:
-        out.append(f'  <owl:Ontology rdf:about="{_xml_attr(base)}">')
-        for imp in o.imports:
-            out.append(f'    <owl:imports rdf:resource="{_xml_attr(imp)}"/>')
-        out.append("  </owl:Ontology>")
-    else:
-        out.append(f'  <owl:Ontology rdf:about="{_xml_attr(base)}"/>')
 
     def domain_xml(domain: tuple[Iri, ...], indent: str) -> list[str]:
         if len(domain) == 1:

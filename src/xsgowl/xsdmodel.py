@@ -132,7 +132,6 @@ class SimpleType:
 class ElementDecl:
     name: str
     type: BuiltinRef | NamedTypeRef | ComplexType
-    scope: str = "global"  # "global" | "local"
     position: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
@@ -587,7 +586,7 @@ class _SchemaReader:
         etype = inline or BuiltinRef("anyType")
         if type_attr is not None:  # then there is no inline type
             etype = self.type_ref(type_attr, el.source_position)
-        return ElementDecl(name, etype, scope=scope, position=el.source_position)
+        return ElementDecl(name, etype, position=el.source_position)
 
     def read_particles(self, seq: XmlElement):
         particles: list[Particle] = []

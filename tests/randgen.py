@@ -130,7 +130,7 @@ def random_schema(seed: int) -> SchemaModel:
             etype = NamedTypeRef(rng.choice([s.name for s in simple_types]))
         else:
             etype = BuiltinRef(rng.choice(LATTICE))
-        elements.append(ElementDecl(name, etype, scope="global"))
+        elements.append(ElementDecl(name, etype))
 
     # guarantee every named component is referenced somewhere
     used_types = {t.name for e in elements for t in [e.type]
@@ -144,9 +144,9 @@ def random_schema(seed: int) -> SchemaModel:
             used_attr_groups |= set(e.type.attr_group_refs)
     extra = []
     for i, tname in enumerate(n for n in named_type_names if n not in used_types):
-        extra.append(ElementDecl(f"use_{tname}", NamedTypeRef(tname), scope="global"))
+        extra.append(ElementDecl(f"use_{tname}", NamedTypeRef(tname)))
     for st in simple_types:
-        extra.append(ElementDecl(f"use_{st.name}", NamedTypeRef(st.name), scope="global"))
+        extra.append(ElementDecl(f"use_{st.name}", NamedTypeRef(st.name)))
     leftover_groups = [g for g in group_names if g not in used_groups]
     leftover_ags = [ag for ag in attr_group_names if ag not in used_attr_groups]
     if leftover_groups or leftover_ags:
@@ -154,7 +154,6 @@ def random_schema(seed: int) -> SchemaModel:
             "use_groups",
             ComplexType(name=None, group_refs=tuple(leftover_groups),
                         attr_group_refs=tuple(leftover_ags)),
-            scope="global",
         ))
 
     return SchemaModel(

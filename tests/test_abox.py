@@ -1,12 +1,11 @@
 import pytest
 
-from xsgowl.abox import IndividualNaming, NamingCollision, populate, split_individuals
+from xsgowl.abox import IndividualNaming, NamingCollision, populate
 from xsgowl.owlgen import GenOptions, generate_tbox
-from xsgowl.owlmodel import serialize_turtle, xsd_iri
+from xsgowl.owlmodel import xsd_iri
 from xsgowl.xmldoc import parse_xml
 from xsgowl.xsdmodel import read_schema, validate
 from xsgowl.xsg import build_xsg
-from triples import parse_turtle
 from randgen import random_document
 
 BASE = "http://example.org/onto/bibliography"
@@ -234,20 +233,6 @@ def test_groups_inherited_through_extension_populate():
         == {"first": "Ada"}
     assert {p.fragment: v for p, v, _ in by_class["AG"].data_assertions} \
         == {"lang": "en"}
-
-
-def test_split_individuals(pipeline, bibliography_single_xml):
-    schema, tbox, trace = pipeline
-    onto = populate(parse_xml(bibliography_single_xml, "s"), schema, tbox, trace)
-    tbox_only, abox_only = split_individuals(onto)
-    assert tbox_only.individuals == ()
-    assert abox_only.individuals == onto.individuals
-    assert abox_only.imports == (BASE,)
-    ttl = serialize_turtle(abox_only)
-    triples = parse_turtle(ttl)
-    assert (BASE + "/abox", "http://www.w3.org/2002/07/owl#imports", BASE) in triples
-    # entities keep the TBox base even though the document IRI differs
-    assert f"@prefix : <{BASE}#> ." in ttl
 
 
 def test_each_leaf_text_read_once(pipeline, bibliography_xml, monkeypatch):

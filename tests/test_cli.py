@@ -8,6 +8,7 @@ import weakref
 import pytest
 
 from xsgowl.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_SCHEMA,
@@ -294,6 +295,53 @@ def test_internal_error_exit_4(tmp_path, data_dir, monkeypatch):
     assert code == 4
 
 
+UNSUPPORTED_XSD = b"""<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="a"><xs:complexType><xs:sequence>
+    <xs:choice/>
+  </xs:sequence></xs:complexType></xs:element>
+</xs:schema>"""
+
+
+@pytest.mark.parametrize("command, failure, code, message", [
+    ("generate", "missing", EXIT_PARSE, "cannot read"),
+    ("infer-schema", "missing", EXIT_PARSE, "cannot read"),
+    ("graph", "missing", EXIT_PARSE, "cannot read"),
+    ("generate", "malformed", EXIT_PARSE, "bad.xml: "),
+    ("infer-schema", "malformed", EXIT_PARSE, "bad.xml: "),
+    ("graph", "malformed", EXIT_PARSE, "bad.xml: "),
+    ("generate", "unsupported", EXIT_SCHEMA, "choice.xsd: "),
+    ("graph", "unsupported", EXIT_SCHEMA, "choice.xsd: "),
+])
+def test_exit_code_per_subcommand_and_failure(tmp_path, capsys, command, failure,
+                                              code, message):
+    src = {"missing": tmp_path / "missing.xml", "malformed": tmp_path / "bad.xml",
+           "unsupported": tmp_path / "choice.xsd"}[failure]
+    if failure == "malformed":
+        src.write_bytes(b"<a><b></a>")
+    elif failure == "unsupported":
+        src.write_bytes(UNSUPPORTED_XSD)
+    if command == "generate":
+        argv = [command, str(src), "--out-dir", str(tmp_path / "out")]
+    else:
+        argv = [command, str(src), str(tmp_path / "out.txt")]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_plain_value_error_is_internal(tmp_path, data_dir, monkeypatch, capsys):
+    # DocumentInvalid subclasses ValueError; a plain one is still a bug
+    import xsgowl.cli as cli_module
+    def boom(*args):
+        raise ValueError("range of p is not a declared class")
+    monkeypatch.setattr(cli_module, "populate", boom)
+    code = run(["generate", str(data_dir / "bibliography.xml"),
+                "--out-dir", str(tmp_path), "--with-instances"])
+    assert code == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal error while processing" in err and "Traceback" in err
+
+
 def test_turtle_and_rdfxml_agree(tmp_path, data_dir):
     run(["generate", str(data_dir / "bibliography.xml"),
          "--out-dir", str(tmp_path), "--format", "both", "--with-instances"])
@@ -416,3 +464,36 @@ def test_generate_never_changes_the_umask(tmp_path, data_dir, monkeypatch):
                 "--emit-schema", "--emit-dot", "--emit-trace"])
     assert code == EXIT_OK
     assert calls == []
+
+
+def _file_in_the_way(tmp_path, data_dir):
+    (tmp_path / "taken").write_bytes(b"")
+    return (["generate", str(data_dir / "bibliography.xml"),
+             "--out-dir", str(tmp_path / "taken")], tmp_path / "taken")
+
+
+def _schema_into_missing_dir(tmp_path, data_dir):
+    out = tmp_path / "nodir" / "x.xsd"
+    return ["infer-schema", str(data_dir / "bibliography.xml"), str(out)], out
+
+
+def _graph_into_missing_dir(tmp_path, data_dir):
+    out = tmp_path / "nodir" / "x.dot"
+    return ["graph", str(data_dir / "bibliography.xml"), str(out)], out
+
+
+def _directory_in_the_way(tmp_path, data_dir):
+    (tmp_path / "bibliography.ttl").mkdir()
+    return (["generate", str(data_dir / "bibliography.xml"),
+             "--out-dir", str(tmp_path)], tmp_path / "bibliography.ttl")
+
+
+@pytest.mark.parametrize("case", [_file_in_the_way, _schema_into_missing_dir,
+                                  _graph_into_missing_dir, _directory_in_the_way])
+def test_unwritable_output_exit_1(tmp_path, data_dir, capsys, case):
+    argv, path = case(tmp_path, data_dir)
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err and "Traceback" not in captured.err
+    assert list(tmp_path.rglob(".*")) == []  # no temporary file left
