@@ -2,11 +2,10 @@
 build the schema graph, and map it to an OWL-DL ontology with a
 mapping trace and optional individuals."""
 
-from .abox import IndividualNaming, NamingCollision, populate
+from .abox import NamingCollision, populate
 from .datatypes import infer_datatype, join_datatype
 from .infer import (
     ElementProfile,
-    InferenceConflict,
     RootMismatch,
     accumulate_profiles,
     infer_schema,
@@ -39,9 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GenOptions",
-    "IndividualNaming",
     "Individual",
-    "InferenceConflict",
     "Iri",
     "MappingTrace",
     "NamingCollision",

@@ -10,18 +10,16 @@ the document does not conform. Types' flattened content and the schema
 paths that key the mapping trace come from the schema's shared resolved
 view (`SchemaModel.resolved`).
 
-Individual names: the id-attribute strategy uses a sanitized `id`
-attribute value when the element carries one and falls back to the path
-strategy otherwise; the path strategy names every individual by its
-root-to-node path with 1-based same-name sibling ordinals
-(bibliography_1.biblioentry_1.author_1). Children reached through a group
-reference hang off one synthetic individual of the group's class per
-instance, mirroring the has<GroupClass> structure of the generated TBox.
+Individual names: an element that carries an `id` attribute is named by
+its sanitized value; any other is named by its root-to-node path with
+1-based same-name sibling ordinals (bibliography_1.biblioentry_1.author_1).
+Children reached through a group reference hang off one synthetic
+individual of the group's class per instance, mirroring the
+has<GroupClass> structure of the generated TBox.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import replace
 
 from .owlgen import MappingTrace
@@ -44,11 +42,6 @@ from .xsdmodel import (
 )
 
 
-class IndividualNaming(enum.Enum):
-    ID_ATTRIBUTE = "id-attribute"
-    PATH_ORDINAL = "path-ordinal"
-
-
 class NamingCollision(Exception):
     """Two element instances produced the same individual IRI."""
 
@@ -62,10 +55,9 @@ class _Populator:
     stack of open individuals: one frame per open complex-typed element."""
 
     def __init__(self, schema: SchemaModel, tbox: OntologyModel,
-                 trace: MappingTrace, naming: IndividualNaming):
+                 trace: MappingTrace):
         self.view = schema.resolved
         self.tbox = tbox
-        self.naming = naming
         self.resolution = trace.resolution
         # each datatype property's literal datatype, "" for a plain literal
         self.datatype = {p.iri: "" if p.range == RDFS_LITERAL else p.range
@@ -73,7 +65,7 @@ class _Populator:
         self.taken: dict[str, tuple[int, int]] = {}
         self.collision: NamingCollision | None = None  # the first one seen
         self.out: list[Individual] = []
-        # per open element: instance, IRI, its step in the path-ordinal name,
+        # per open element: instance, IRI, its step in the path name,
         # slot in `out`, object and data assertions, and its group holders
         # by GroupUse path
         self.open: list[tuple[XmlElement, Iri, str, int, list, list, dict]] = []
@@ -133,12 +125,10 @@ class _Populator:
                     obj_sink.append((prop_iri, iri))
 
     def push(self, instance: XmlElement, step: str) -> Iri:
-        """Claim the instance's individual and open it. Its path-ordinal
-        name joins the open elements' steps and its own; it is built only
-        when used, so a deep document named by ids costs no path strings."""
-        id_value = None
-        if self.naming is IndividualNaming.ID_ATTRIBUTE:
-            id_value = instance.attribute("id")
+        """Claim the instance's individual and open it. Its path name joins
+        the open elements' steps and its own; it is built only when used,
+        so a deep document named by ids costs no path strings."""
+        id_value = instance.attribute("id")
         if id_value is not None:
             fragment = sanitize_fragment(id_value)
         else:
@@ -183,13 +173,12 @@ def populate(
     schema: SchemaModel,
     tbox: OntologyModel,
     trace: MappingTrace,
-    naming: IndividualNaming = IndividualNaming.ID_ATTRIBUTE,
 ) -> OntologyModel:
     """TBox plus the individuals read off one document, in one walk that
     also validates it; raises DocumentInvalid when the document does not
     validate, else NamingCollision when two individuals share an IRI."""
     violations: list[Violation] = []
-    populator = _Populator(schema, tbox, trace, naming)
+    populator = _Populator(schema, tbox, trace)
     populator.build(walk_instances(doc, schema, violations), violations)
     if violations:
         problems = "; ".join(str(v) for v in violations[:3])

@@ -4,9 +4,10 @@ Each input is processed independently into its own local ontology under
 <base-iri>/<stem>; nothing is merged across sources, and inputs whose
 stems collide are rejected before any is processed. Exit codes: 0 ok,
 1 usage or an output that cannot be written, 2 XML parse error or
-unreadable input, 3 schema or validation error, 4 internal invariant
-violation (a bug). With several inputs every source is attempted and the
-first nonzero code in input order wins.
+unreadable input, 3 schema error or two individuals with one IRI,
+4 internal invariant violation (a bug; a document that fails the schema
+inferred from it is one). With several inputs every source is attempted
+and the first nonzero code in input order wins.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .abox import DocumentInvalid, NamingCollision, populate
-from .infer import InferenceConflict, RootMismatch, infer_schema
+from .abox import NamingCollision, populate
+from .infer import infer_schema
 from .owlgen import GenOptions, MappingTrace, generate_tbox, write_trace
 from .owlmodel import (
     OntologyModel,
@@ -39,6 +41,13 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_SCHEMA = 3
 EXIT_INTERNAL = 4
+
+# The characters Turtle's IRIREF excludes. An input's stem is percent-encoded
+# where it has one of them, or "#", "%" or "?", which would end or escape
+# its IRI's path; the base IRI may not contain them, nor a fragment.
+_IRIREF_EXCLUDED = r'\x00-\x20<>"{}|^`\\'
+_NOT_IN_STEM = re.compile(f"[{_IRIREF_EXCLUDED}#%?]")
+_NOT_IN_BASE_IRI = re.compile(f"[{_IRIREF_EXCLUDED}#]")
 
 
 @dataclass
@@ -63,16 +72,13 @@ class _SourceFailure(Exception):
         self.code = code
 
 
-# The exit code of each library error, looked up by exact type: a subclass
-# of ValueError such as DocumentInvalid must not turn a plain ValueError,
-# which only a bug raises, into a documented exit.
+# The exit code of each library error an input can cause, looked up by exact
+# type. abox.DocumentInvalid is left out: `generate` validates a document
+# only against the schema inferred from it, so a failure there is a bug.
 _EXIT_CODES: dict[type[Exception], int] = {
     ParseError: EXIT_PARSE,
     SchemaError: EXIT_SCHEMA,
-    RootMismatch: EXIT_SCHEMA,
-    InferenceConflict: EXIT_SCHEMA,
     EmptySchema: EXIT_SCHEMA,
-    DocumentInvalid: EXIT_SCHEMA,
     NamingCollision: EXIT_SCHEMA,
 }
 
@@ -162,8 +168,9 @@ def _tbox(stem: str, schema: SchemaModel,
     graph = build_xsg(schema)
     if cfg.emit_dot:
         _atomic_write(Path(cfg.out_dir) / f"{stem}.dot", to_dot(graph))
+    segment = _NOT_IN_STEM.sub(lambda m: f"%{ord(m[0]):02X}", stem)  # one byte each
     opts = GenOptions(
-        base_iri=f"{cfg.base_iri}/{stem}",
+        base_iri=f"{cfg.base_iri}/{segment}",
         emit_cardinality=cfg.with_cardinality,
         union_domains=not cfg.literal_domains,
         strict_dl=cfg.strict_dl,
@@ -219,12 +226,18 @@ def _process_source(path: str, cfg: RunConfig):
     )
 
 
-def _stem_collision(inputs: list[str]) -> str | None:
-    """A message naming two inputs whose outputs would share a stem, and
-    so overwrite each other in the output directory; None if none do."""
+def _stem_problem(inputs: list[str]) -> str | None:
+    """A message naming an input whose stem is not valid UTF-8, and so
+    cannot be written into its IRI, or two inputs whose outputs would share
+    a stem, and so overwrite each other in the output directory; None if
+    there is neither."""
     seen: dict[str, str] = {}  # stem -> the first input with it
     for path in inputs:
         stem = Path(path).stem
+        try:
+            stem.encode("utf-8")
+        except UnicodeEncodeError:
+            return f"the stem of {path!r} is not valid UTF-8"
         if stem in seen:
             return (f"inputs {seen[stem]} and {path} share the stem {stem!r}, "
                     f"so their outputs would overwrite each other")
@@ -233,9 +246,9 @@ def _stem_collision(inputs: list[str]) -> str | None:
 
 
 def cmd_generate(cfg: RunConfig) -> int:
-    collision = _stem_collision(cfg.inputs)
-    if collision is not None:
-        logger.error("%s", collision)
+    problem = _stem_problem(cfg.inputs)
+    if problem is not None:
+        logger.error("%s", problem)
         return EXIT_USAGE
     try:
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
@@ -318,8 +331,10 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging(args.log_level)
     if args.command == "generate":
         cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
-        if not cfg.base_iri.startswith(("http://", "https://", "urn:", "file://")):
-            logger.error("--base-iri must be absolute, got %r", cfg.base_iri)
+        if (not cfg.base_iri.startswith(("http://", "https://", "urn:", "file://"))
+                or _NOT_IN_BASE_IRI.search(cfg.base_iri)):
+            logger.error("--base-iri must be absolute, with no space, control "
+                         'character or any of #<>"{}|^`\\, got %r', cfg.base_iri)
             return EXIT_USAGE
         return cmd_generate(cfg)
     if args.command == "infer-schema":

@@ -40,20 +40,27 @@ _BELOW = {
 
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 _DECIMAL_RE = re.compile(r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+)\Z")
-# On ASCII input this matches exactly the strings the loop in is_ncname
-# accepts (str.isalpha/isdigit are A-Za-z and 0-9 there).
 _ASCII_NCNAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9._-]*\Z")
+# XML 1.0 (fifth edition) NameStartChar without ":", and NameChar; apart
+# from ".", a NameChar is exactly a character of Turtle's PN_CHARS. Patterns
+# with these classes are compiled on first use, through re's cache: they
+# take milliseconds to compile, and most names are ASCII.
+NAME_START_CHARS = (
+    "A-Z_a-z\u00c0-\u00d6\u00d8-\u00f6\u00f8-\u02ff\u0370-\u037d"
+    "\u037f-\u1fff\u200c-\u200d\u2070-\u218f\u2c00-\u2fef\u3001-\ud7ff"
+    "\uf900-\ufdcf\ufdf0-\ufffd\U00010000-\U000effff"
+)
+NAME_CHARS = NAME_START_CHARS + "\\-.0-9\u00b7\u0300-\u036f\u203f-\u2040"
+_NCNAME = f"[{NAME_START_CHARS}][{NAME_CHARS}]*\\Z"
 
 
 def is_ncname(value: str) -> bool:
-    """Non-colonized name: letter or underscore, then letters, digits,
-    hyphens, underscores, periods; no colon, no whitespace."""
+    """Non-colonized name: an XML NameStartChar (a letter or underscore),
+    then NameChars (also digits, hyphens, periods, combining marks and the
+    like); no colon, no whitespace."""
     if value.isascii():
         return _ASCII_NCNAME_RE.match(value) is not None
-    first = value[0]
-    if not (first.isalpha() or first == "_"):
-        return False
-    return all(c.isalpha() or c.isdigit() or c in ".-_" for c in value[1:])
+    return re.match(_NCNAME, value) is not None
 
 
 def infer_datatype(value: str) -> str:

@@ -16,8 +16,7 @@ tools resolve the same evidence differently):
 * attribute and text datatypes are lattice joins over every observed
   value,
 * an element seen both with child elements and as a pure text leaf merges
-  into a mixed complex profile with a warning (or raises, when merging is
-  disabled),
+  into a mixed complex profile with a warning,
 * an element that is always empty infers an empty complexType: absence of
   text is treated as evidence of no text.
 """
@@ -47,11 +46,6 @@ class RootMismatch(Exception):
     """Input documents do not share one root element name."""
 
 
-class InferenceConflict(Exception):
-    """Same element name used as both structure and text leaf, with
-    merging disabled."""
-
-
 @dataclass
 class ElementProfile:
     """Accumulated facts about one element name."""
@@ -77,26 +71,21 @@ class ElementProfile:
     _merge_warned: bool = False
 
 
-def _observe(profile: ElementProfile, e: XmlElement, merge_conflicts: bool):
+def _observe(profile: ElementProfile, e: XmlElement):
     profile.instances += 1
     children = e.child_elements()
     has_text = len(children) != len(e.children)
 
     is_text_leaf = not children and has_text
-    if (children and profile._saw_text_leaf) or (
-        is_text_leaf and profile.has_element_children
+    if not profile._merge_warned and (
+        (children and profile._saw_text_leaf)
+        or (is_text_leaf and profile.has_element_children)
     ):
-        if not merge_conflicts:
-            raise InferenceConflict(
-                f"element {profile.name!r} appears both with child elements "
-                f"and as a pure text leaf"
-            )
-        if not profile._merge_warned:
-            logger.warning(
-                "element %r is both structured and a text leaf; merging into "
-                "a mixed complex profile", profile.name,
-            )
-            profile._merge_warned = True
+        logger.warning(
+            "element %r is both structured and a text leaf; merging into "
+            "a mixed complex profile", profile.name,
+        )
+        profile._merge_warned = True
 
     if children:
         profile.has_element_children = True
@@ -106,7 +95,7 @@ def _observe(profile: ElementProfile, e: XmlElement, merge_conflicts: bool):
         t = infer_datatype(value)
         profile.text_type = t if profile.text_type is None \
             else join_datatype(profile.text_type, t)
-    if not children and has_text:
+    if is_text_leaf:
         profile._saw_text_leaf = True
     if not children and not has_text:
         profile._saw_textless = True
@@ -135,6 +124,7 @@ def _observe(profile: ElementProfile, e: XmlElement, merge_conflicts: bool):
             )
             profile._order_warned = True
 
+    counted: set[str] = set()  # p:id and q:id are one attribute, counted once
     for name, value in e.attributes:
         if name.is_ns_decl:
             continue  # namespace declarations are not data
@@ -142,12 +132,12 @@ def _observe(profile: ElementProfile, e: XmlElement, merge_conflicts: bool):
         t = infer_datatype(value)
         profile.attr_type[local] = t if local not in profile.attr_type \
             else join_datatype(profile.attr_type[local], t)
-        profile._attr_presence[local] = profile._attr_presence.get(local, 0) + 1
+        if local not in counted:
+            counted.add(local)
+            profile._attr_presence[local] = profile._attr_presence.get(local, 0) + 1
 
 
-def accumulate_profiles(
-    docs: list[XmlDocument], merge_conflicts: bool = True
-) -> dict[str, ElementProfile]:
+def accumulate_profiles(docs: list[XmlDocument]) -> dict[str, ElementProfile]:
     """Profiles keyed by element name, in first-appearance document order
     (the shared root name first)."""
     if not docs:
@@ -164,7 +154,7 @@ def accumulate_profiles(
             profile = profiles.get(e.name.local)
             if profile is None:
                 profile = profiles[e.name.local] = ElementProfile(e.name.local)
-            _observe(profile, e, merge_conflicts)
+            _observe(profile, e)
 
     for profile in profiles.values():
         for name in profile.child_order:
@@ -211,7 +201,7 @@ def profiles_to_schema(
     return SchemaModel(tuple(elements), source_id=source_id)
 
 
-def infer_schema(docs: list[XmlDocument], merge_conflicts: bool = True) -> SchemaModel:
+def infer_schema(docs: list[XmlDocument]) -> SchemaModel:
     """The full inference step: documents in, salami-slice schema out."""
-    profiles = accumulate_profiles(docs, merge_conflicts=merge_conflicts)
+    profiles = accumulate_profiles(docs)
     return profiles_to_schema(profiles, source_id=docs[0].source_id)

@@ -11,10 +11,11 @@ byte-identical output.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .datatypes import is_ncname, lexically_valid
+from .datatypes import NAME_CHARS, is_ncname, lexically_valid
 
 OWL_NS = "http://www.w3.org/2002/07/owl#"
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -131,17 +132,20 @@ class OntologyModel:
 # naming
 
 
+# A character outside XML's NameChar, or a final ".", which Turtle's
+# PN_LOCAL does not allow (compiled on first use, like datatypes._NCNAME).
+_NOT_LOCAL_NAME = f"[^{NAME_CHARS}]|\\.\\Z"
+
+
 def sanitize_fragment(name: str) -> str:
-    """Force a name into the NCName production: offending characters
-    become underscores, a leading non-letter gets one prepended."""
-    if is_ncname(name):  # the loop below would return it unchanged
-        return name
-    cleaned = "".join(
-        c if (c.isalpha() or c.isdigit() or c in ".-_") else "_" for c in name
-    )
-    if not cleaned:
-        cleaned = "_"
-    if not (cleaned[0].isalpha() or cleaned[0] == "_"):
+    """Force a name into an NCName that is also a Turtle local name:
+    characters outside XML's NameChar and a final period become
+    underscores, and a name that does not begin with a NameStartChar gets
+    one prepended."""
+    if is_ncname(name) and not name.endswith("."):
+        return name  # the substitution below would return it unchanged
+    cleaned = re.sub(_NOT_LOCAL_NAME, "_", name) or "_"
+    if not is_ncname(cleaned):  # it begins with no NameStartChar
         cleaned = "_" + cleaned
     return cleaned
 
@@ -294,7 +298,9 @@ def serialize_turtle(o: OntologyModel) -> str:
 
 
 def _xml_escape(s: str) -> str:
-    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    # an XML parser reads a raw carriage return back as a line feed
+    return (s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace("\r", "&#13;"))
 
 
 def _xml_attr(s: str) -> str:

@@ -147,7 +147,8 @@ class _TreeBuilder:
 
     def text(self, data):
         children = self.stack[-1].children
-        # coalesce runs split by discarded comments/PIs
+        # coalesce a run that outgrew expat's text buffer, which hands it
+        # over in pieces (comments and PIs, having no handler, split none)
         if children and isinstance(children[-1], str):
             children[-1] += data
         else:

@@ -146,7 +146,6 @@ class _GraphBuilder:
 
         graph = SchemaGraph(self.vertices, self.edges, self.find_roots(), [])
         graph.back_edges = self.find_back_edges(graph)
-        self.warn_unreachable(graph)
         return graph
 
     def first_visit(self, c) -> bool:
@@ -228,6 +227,8 @@ class _GraphBuilder:
         return roots
 
     def find_back_edges(self, graph: SchemaGraph) -> list[int]:
+        """Back edges of a depth-first search from the roots, then from each
+        vertex still unvisited; warns if the roots leave any unvisited."""
         adj = graph.adjacency
         back: list[int] = []
         visited: set[int] = set()
@@ -255,24 +256,15 @@ class _GraphBuilder:
         for r in graph.roots:
             if r not in visited:
                 dfs(r)
+        # a back edge leads to a vertex on the stack, so one already
+        # visited: what the roots reach here, they reach without back edges
+        missing = len(self.vertices) - len(visited)
+        if missing:
+            logger.warning("%d graph vertices are unreachable from the roots", missing)
         for v in self.vertices:  # disconnected clusters still get classified
             if v.id not in visited:
                 dfs(v.id)
         return back
-
-    def warn_unreachable(self, graph: SchemaGraph):
-        reachable: set[int] = set()
-        stack = list(graph.roots)
-        back = set(graph.back_edges)
-        while stack:
-            vid = stack.pop()
-            if vid in reachable:
-                continue
-            reachable.add(vid)
-            stack.extend(e.dst for e in graph.adjacency[vid] if e.id not in back)
-        missing = len(graph.vertices) - len(reachable)
-        if missing:
-            logger.warning("%d graph vertices are unreachable from the roots", missing)
 
 
 def build_xsg(schema: SchemaModel) -> SchemaGraph:

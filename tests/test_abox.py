@@ -1,9 +1,9 @@
 import pytest
 
-from xsgowl.abox import IndividualNaming, NamingCollision, populate
+from xsgowl.abox import NamingCollision, populate
 from xsgowl.owlgen import GenOptions, generate_tbox
 from xsgowl.owlmodel import xsd_iri
-from xsgowl.xmldoc import parse_xml
+from xsgowl.xmldoc import XmlDocument, XmlElement, parse_xml
 from xsgowl.xsdmodel import read_schema, validate
 from xsgowl.xsg import build_xsg
 from randgen import random_document
@@ -49,18 +49,6 @@ def test_path_ordinal_fallback_names(pipeline, bibliography_single_xml):
     fragments = {i.iri.fragment for i in onto.individuals}
     assert "bibliography_1.biblioentry_1.author_1" in fragments
     assert "bibliography_1.biblioentry_1.publisher_1" in fragments
-
-
-def test_pure_path_ordinal_strategy(pipeline, bibliography_single_xml):
-    schema, tbox, trace = pipeline
-    onto = populate(parse_xml(bibliography_single_xml, "s"), schema, tbox, trace,
-                    naming=IndividualNaming.PATH_ORDINAL)
-    assert {i.iri.fragment for i in onto.individuals} == {
-        "bibliography_1",
-        "bibliography_1.biblioentry_1",
-        "bibliography_1.biblioentry_1.author_1",
-        "bibliography_1.biblioentry_1.publisher_1",
-    }
 
 
 def test_absent_optional_means_no_assertion(pipeline, bibliography_single_xml):
@@ -127,6 +115,16 @@ def test_naming_collision(pipeline):
         populate(doc, schema, tbox, trace)
 
 
+def without_ids(el: XmlElement) -> XmlElement:
+    """A copy of the tree with no `id` attribute, so that every individual
+    is named by its path."""
+    return XmlElement(
+        el.name,
+        tuple((n, v) for n, v in el.attributes if n.local != "id"),
+        tuple(c if isinstance(c, str) else without_ids(c) for c in el.children),
+    )
+
+
 def test_path_ordinals_unique_and_count_law_random(pipeline):
     # uniqueness-by-construction of path naming, and one individual per
     # element instance whose type maps to a class (group-free schemas)
@@ -134,11 +132,10 @@ def test_path_ordinals_unique_and_count_law_random(pipeline):
     from xsgowl.xsdmodel import BuiltinRef
 
     for seed in range(30):
-        doc = random_document(seed)
+        doc = XmlDocument(without_ids(random_document(seed).root), f"random-{seed}")
         schema = infer_schema([doc])
         tbox, trace = generate_tbox(schema, build_xsg(schema), GenOptions(base_iri=BASE))
-        onto = populate(doc, schema, tbox, trace,
-                        naming=IndividualNaming.PATH_ORDINAL)
+        onto = populate(doc, schema, tbox, trace)
         fragments = [i.iri.fragment for i in onto.individuals]
         assert len(fragments) == len(set(fragments)), f"seed {seed}"
         class_elements = {

@@ -121,7 +121,9 @@ def test_unsupported_construct_exit_3(tmp_path, capsys):
     assert "choice" in capsys.readouterr().err
 
 
-def test_invalid_document_exit_3(tmp_path, monkeypatch, capsys):
+def test_invalid_document_exit_4(tmp_path, monkeypatch, capsys):
+    # generate validates a document only against the schema inferred from
+    # it, so a document that fails there is a bug in inference
     import xsgowl.cli as cli_module
     from xsgowl.xsdmodel import read_schema
     strict = read_schema(b"""<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
@@ -134,8 +136,9 @@ def test_invalid_document_exit_3(tmp_path, monkeypatch, capsys):
     src.write_bytes(b"<r><a>1</a></r>")
     code = run(["generate", str(src), "--out-dir", str(tmp_path),
                 "--with-instances"])
-    assert code == EXIT_SCHEMA
-    assert "does not validate" in capsys.readouterr().err
+    assert code == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal error while processing" in err and "does not validate" in err
 
 
 def test_namespace_declaration_is_not_an_id(tmp_path):
@@ -311,26 +314,40 @@ UNSUPPORTED_XSD = b"""<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
     ("graph", "malformed", EXIT_PARSE, "bad.xml: "),
     ("generate", "unsupported", EXIT_SCHEMA, "choice.xsd: "),
     ("graph", "unsupported", EXIT_SCHEMA, "choice.xsd: "),
+    ("generate", "stem with a space", EXIT_OK, ""),
+    ("generate", "stem not UTF-8", EXIT_USAGE, "is not valid UTF-8"),
+    ("generate", "base IRI with a space", EXIT_USAGE, "--base-iri"),
+    ("generate", "base IRI with a fragment", EXIT_USAGE, "--base-iri"),
 ])
 def test_exit_code_per_subcommand_and_failure(tmp_path, capsys, command, failure,
                                               code, message):
     src = {"missing": tmp_path / "missing.xml", "malformed": tmp_path / "bad.xml",
-           "unsupported": tmp_path / "choice.xsd"}[failure]
+           "unsupported": tmp_path / "choice.xsd",
+           "stem with a space": tmp_path / "a b.xml",
+           "stem not UTF-8": tmp_path / os.fsdecode(b"x\xff.xml"),
+           }.get(failure, tmp_path / "r.xml")
     if failure == "malformed":
         src.write_bytes(b"<a><b></a>")
     elif failure == "unsupported":
         src.write_bytes(UNSUPPORTED_XSD)
+    elif failure != "missing":
+        src.write_bytes(b"<r><a>1</a></r>")
+    base_iri = {"base IRI with a space": "http://example.org/a b",
+                "base IRI with a fragment": "http://example.org/a#"}.get(failure)
     if command == "generate":
         argv = [command, str(src), "--out-dir", str(tmp_path / "out")]
+        argv += ["--base-iri", base_iri] if base_iri else []
     else:
         argv = [command, str(src), str(tmp_path / "out.txt")]
     assert run(argv) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    for turtle in (tmp_path / "out").glob("*.ttl"):  # IRIs a Turtle parser accepts
+        parse_turtle(turtle.read_text(encoding="utf-8"))
 
 
 def test_plain_value_error_is_internal(tmp_path, data_dir, monkeypatch, capsys):
-    # DocumentInvalid subclasses ValueError; a plain one is still a bug
+    # a ValueError from the model check is a bug, whatever its message
     import xsgowl.cli as cli_module
     def boom(*args):
         raise ValueError("range of p is not a declared class")

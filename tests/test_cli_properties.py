@@ -9,6 +9,7 @@ give the same triple set in Turtle and in RDF/XML.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -98,6 +99,20 @@ def namespaced(rng):
     return ".xml", xml(element("p:root", decls, [root])), 0
 
 
+def prefixed_attributes(rng):
+    """One attribute local name under several prefixes on one element, and
+    absent from another element of the same name."""
+    values = itertools.count()
+
+    def attrs():
+        names = rng.sample(["id", "p:id", "q:id", "k", "p:k"], rng.randint(0, 3))
+        return [(a, f"v{next(values)}") for a in names]
+    children = [element("b", attrs(), [element("c", attrs())] if rng.random() < 0.5 else [])
+                for _ in range(rng.randint(1, 6))]
+    return ".xml", xml(element("r", [("xmlns:p", "urn:p"), ("xmlns:q", "urn:q")],
+                               children)), 0
+
+
 def sanitized_names(rng):
     """Names with `-`, `.`, `_` and non-ASCII letters, and ids that are not
     NCNames. One id prefix per document keeps the sanitized ids apart."""
@@ -149,8 +164,8 @@ def schema_error(rng):
     return ".xsd", f"{XS}{place}</xs:schema>", 3
 
 
-SHAPES = [deep, wide, attribute_only, empty_content, namespaced, sanitized_names,
-          renames, duplicate_ids, malformed, schema_error]
+SHAPES = [deep, wide, attribute_only, empty_content, namespaced, prefixed_attributes,
+          sanitized_names, renames, duplicate_ids, malformed, schema_error]
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=[s.__name__ for s in SHAPES])
@@ -180,15 +195,26 @@ def first_ids_only(el: XmlElement, seen: set[str]) -> XmlElement:
     return XmlElement(el.name, tuple(attrs), tuple(children))
 
 
+HAND_WRITTEN = [
+    # a carriage return in a text value and in an attribute value
+    '<r k="p&#13;q"><a>x&#13;y</a><a>z</a></r>',
+    # a name and an id ending in ".", and ids with characters outside
+    # XML's NameChar, none of them a Turtle local name as it stands
+    '<r><a.>1</a.><b id="k."><c>2</c></b><b id="x²"><c>3</c></b>'
+    '<b id="qª"><c>4</c></b></r>',
+]
+
+
 def test_populated_random_documents_agree_across_syntaxes(tmp_path, capsys):
-    for seed in range(40):
-        root = first_ids_only(random_document(seed).root, set())
-        path = tmp_path / f"r{seed}.xml"
-        path.write_text(xml(root), encoding="utf-8")
+    texts = [xml(first_ids_only(random_document(seed).root, set()))
+             for seed in range(40)] + HAND_WRITTEN
+    for n, text in enumerate(texts):
+        path = tmp_path / f"r{n}.xml"
+        path.write_text(text, encoding="utf-8")
         assert cli.main(["generate", str(path), "--out-dir", str(tmp_path), *FLAGS]) == 0
-        turtle = parse_turtle((tmp_path / f"r{seed}.ttl").read_text(encoding="utf-8"))
-        rdfxml = parse_rdfxml((tmp_path / f"r{seed}.rdf").read_text(encoding="utf-8"))
-        assert turtle == rdfxml, f"seed {seed}"
+        turtle = parse_turtle((tmp_path / f"r{n}.ttl").read_text(encoding="utf-8"))
+        rdfxml = parse_rdfxml((tmp_path / f"r{n}.rdf").read_text(encoding="utf-8"))
+        assert turtle == rdfxml, f"input {n}"
         assert any(p.endswith("#type") and o.endswith("NamedIndividual")
-                   for _, p, o in turtle if isinstance(o, str)), f"seed {seed}"
+                   for _, p, o in turtle if isinstance(o, str)), f"input {n}"
     capsys.readouterr()

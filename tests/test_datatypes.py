@@ -101,36 +101,50 @@ def test_is_ncname():
     assert not is_ncname("a b")
 
 
-# --- ASCII fast path against the per-character definition --------------------
+# --- the fast paths against the per-character definition ----------------------
+
+# XML 1.0 (fifth edition) NameStartChar without ":", and the other NameChars
+NAME_START = [(0x41, 0x5A), (0x5F, 0x5F), (0x61, 0x7A), (0xC0, 0xD6), (0xD8, 0xF6),
+              (0xF8, 0x2FF), (0x370, 0x37D), (0x37F, 0x1FFF), (0x200C, 0x200D),
+              (0x2070, 0x218F), (0x2C00, 0x2FEF), (0x3001, 0xD7FF),
+              (0xF900, 0xFDCF), (0xFDF0, 0xFFFD), (0x10000, 0xEFFFF)]
+NAME_MORE = [(0x2D, 0x2E), (0x30, 0x39), (0xB7, 0xB7), (0x300, 0x36F),
+             (0x203F, 0x2040)]
+
+
+def is_start(c: str) -> bool:
+    return any(low <= ord(c) <= high for low, high in NAME_START)
+
+
+def is_name_char(c: str) -> bool:
+    return is_start(c) or any(low <= ord(c) <= high for low, high in NAME_MORE)
 
 
 def reference_is_ncname(value: str) -> bool:
-    if not value:
-        return False
-    if not (value[0].isalpha() or value[0] == "_"):
-        return False
-    return all(c.isalpha() or c.isdigit() or c in ".-_" for c in value[1:])
+    return bool(value) and is_start(value[0]) and all(map(is_name_char, value[1:]))
 
 
 def reference_sanitize(name: str) -> str:
-    cleaned = "".join(
-        c if (c.isalpha() or c.isdigit() or c in ".-_") else "_" for c in name
-    )
+    # a final "." is no Turtle local name
+    cleaned = "".join(c if is_name_char(c) else "_" for c in name)
+    if cleaned.endswith("."):
+        cleaned = cleaned[:-1] + "_"
     if not cleaned:
         cleaned = "_"
-    if not (cleaned[0].isalpha() or cleaned[0] == "_"):
+    if not is_start(cleaned[0]):
         cleaned = "_" + cleaned
     return cleaned
 
 
-NON_ASCII = ["é", "٣", "²", "·", "Ⅻ"]
+NON_ASCII = ["é", "٣", "²", "·", "Ⅻ", "ª", "\u0301", "\u203f", "\u00d7", "\U00010400"]
 NCNAME_CASES = (
     [""]
     + [f"{c}{tail}" for c in map(chr, range(128)) for tail in ("", "a", "1")]
     + [f"{head}{c}" for c in map(chr, range(128)) for head in ("a", "_", "1", "a.b")]
     + [f"{c}x" for c in NON_ASCII] + [f"x{c}" for c in NON_ASCII]
     + [f"_{c}" for c in NON_ASCII] + NON_ASCII
-    + ["naïve-name", "é1:b", "a²b", "٣a", "Ⅻ.x", "x·y z", "ℵ0", "Ωmega_٣"]
+    + ["naïve-name", "é1:b", "a²b", "٣a", "Ⅻ.x", "x·y z", "ℵ0", "Ωmega_٣",
+       "x²", "qª", "k.", "a..", "名前.", "é."]
 )
 
 

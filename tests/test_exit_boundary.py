@@ -18,8 +18,8 @@ import xsgowl.cli
 
 SOURCE = Path(xsgowl.cli.__file__)
 LIBRARY_ERRORS = frozenset({
-    "ParseError", "SchemaError", "RootMismatch", "InferenceConflict",
-    "EmptySchema", "DocumentInvalid", "NamingCollision",
+    "ParseError", "SchemaError", "RootMismatch", "EmptySchema",
+    "DocumentInvalid", "NamingCollision",
 })
 
 

@@ -1,5 +1,7 @@
 import logging
 
+import pytest
+
 from xsgowl.owlgen import (
     GenOptions,
     KIND_CLASS,
@@ -176,6 +178,49 @@ def test_strict_dl_substitutes_literal():
     (isbn,) = [p for p in onto.datatype_properties if p.iri.fragment == "isbn"]
     assert isbn.range == RDFS_LITERAL
     assert check_dl_profile(onto) == []
+
+
+def xsd(body: str) -> bytes:
+    return f'<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">{body}</xs:schema>'.encode()
+
+
+def two_local(first: str, second: str, name: str = "v") -> bytes:
+    """One name declared locally under two classes, with two types."""
+    return xsd("".join(
+        f'<xs:element name="{c}"><xs:complexType><xs:sequence>'
+        f'<xs:element name="{name}"{t}/></xs:sequence></xs:complexType></xs:element>'
+        for c, t in (("a", first), ("b", second))))
+
+
+NAMED_SIMPLE = '<xs:simpleType name="s"><xs:restriction base="xs:string"/></xs:simpleType>'
+
+
+@pytest.mark.parametrize("schema, name, default, strict", [
+    (ANYTYPE, "isbn", XSD_ANYTYPE, RDFS_LITERAL),
+    (xsd('<xs:element name="r"><xs:complexType><xs:attribute name="code" type="s"/>'
+         f'</xs:complexType></xs:element>{NAMED_SIMPLE}'), "code", XSD_ANYTYPE, RDFS_LITERAL),
+    (xsd('<xs:element name="r"><xs:complexType><xs:sequence><xs:element name="note"/>'
+         '</xs:sequence></xs:complexType></xs:element>'), "note", XSD_ANYTYPE, RDFS_LITERAL),
+    (two_local("", ' type="xs:integer"'), "v", XSD_ANYTYPE, RDFS_LITERAL),
+    (two_local(' type="xs:integer"', ' type="xs:decimal"'), "v",
+     xsd_iri("decimal"), xsd_iri("decimal")),
+    (two_local(' type="xs:date"', ' type="xs:integer"'), "v",
+     xsd_iri("string"), xsd_iri("string")),
+], ids=["element-named-simple", "attribute-named-simple", "anytype-element",
+        "anytype-join", "lattice-join", "non-lattice-join"])
+def test_datatype_property_range(schema, name, default, strict):
+    for opts, expected in ((OPTS, default),
+                           (GenOptions(base_iri=BASE, strict_dl=True), strict)):
+        (onto, _), _ = tbox_for(schema, opts)
+        (prop,) = [p for p in onto.datatype_properties if p.iri.fragment == name]
+        assert prop.range == expected, opts
+
+
+def test_datatype_name_sanitized_once():
+    # a final "." is an NCName character but ends no Turtle local name
+    (onto, _), _ = tbox_for(two_local(' type="xs:string"', ' type="xs:string"', "v."))
+    assert [p.iri.fragment for p in onto.datatype_properties] == ["v_"]
+    assert onto.naming_notes == ("datatype property name 'v.' sanitized to 'v_'",)
 
 
 GROUPS = b"""<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from xsgowl.abox import IndividualNaming, NamingCollision, populate
+from xsgowl.abox import NamingCollision, populate
 from xsgowl.infer import infer_schema
 from xsgowl.owlgen import GenOptions, generate_tbox, write_trace
 from xsgowl.owlmodel import serialize_rdfxml, serialize_turtle
@@ -35,13 +35,12 @@ LITERAL = GenOptions(base_iri=BASE, union_domains=False,
                      emit_cardinality=True, strict_dl=True)
 
 
-def digest(schema, doc=None, opts=GenOptions(base_iri=BASE),
-           naming=IndividualNaming.ID_ATTRIBUTE) -> str:
+def digest(schema, doc=None, opts=GenOptions(base_iri=BASE)) -> str:
     graph = build_xsg(schema)
     model, trace = generate_tbox(schema, graph, opts)
     try:
         if doc is not None:
-            model = populate(doc, schema, model, trace, naming)
+            model = populate(doc, schema, model, trace)
         outputs = (serialize_turtle(model), serialize_rdfxml(model),
                    write_trace(trace), to_dot(graph), serialize_schema(schema))
     except NamingCollision as exc:  # random id values repeat
@@ -49,8 +48,8 @@ def digest(schema, doc=None, opts=GenOptions(base_iri=BASE),
     return hashlib.sha256("\0".join(outputs).encode()).hexdigest()
 
 
-def _inferred(doc, naming=IndividualNaming.ID_ATTRIBUTE):
-    return digest(infer_schema([doc]), doc, naming=naming)
+def _inferred(doc):
+    return digest(infer_schema([doc]), doc)
 
 
 FAMILIES = {
@@ -74,8 +73,8 @@ FAMILIES = {
                             ("literal", LITERAL))
     },
     "random_document": lambda: {
-        f"{seed}/{naming.value}": _inferred(random_document(seed), naming)
-        for seed in SEEDS for naming in IndividualNaming
+        f"{seed}/id-attribute": _inferred(random_document(seed))
+        for seed in SEEDS
     },
 }
 

@@ -47,6 +47,13 @@ def test_comments_and_pis_discarded_text_coalesced():
     assert doc.root.children == ("onetwothree",)
 
 
+def test_long_text_run_coalesced():
+    # a run of many lines outgrows the parser's text buffer, which then
+    # hands it over in several pieces
+    doc = parse_xml(b"<a>" + b"line\n" * 5000 + b"</a>", "t")
+    assert doc.root.children == ("line\n" * 5000,)
+
+
 def test_prefixes_kept_syntactically():
     doc = parse_xml(b'<x:a xmlns:x="urn:u" x:k="v"/>', "t")
     assert doc.root.name.prefix == "x"

@@ -135,6 +135,47 @@ def test_groups_read():
     assert model.attr_group("metaAttrs").attributes[0].name == "version"
 
 
+NOTE = "<xs:annotation><xs:documentation>n</xs:documentation></xs:annotation>"
+# one schema with a marked place in each construct whose reader skips
+# xs:annotation: the schema, an element, a sequence, a complexType body,
+# a simpleType, a group and an attributeGroup
+ANNOTATED = (
+    '<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">{0}'
+    '<xs:element name="r">{1}<xs:complexType>{3}<xs:sequence>{2}'
+    '<xs:element ref="v"/><xs:group ref="g"/></xs:sequence>'
+    '<xs:attributeGroup ref="ag"/></xs:complexType></xs:element>'
+    '<xs:element name="v" type="s"/>'
+    '<xs:simpleType name="s">{4}<xs:restriction base="xs:string"/></xs:simpleType>'
+    '<xs:group name="g">{5}<xs:sequence><xs:element ref="v"/></xs:sequence></xs:group>'
+    '<xs:attributeGroup name="ag">{6}<xs:attribute name="k" type="xs:integer"/>'
+    "</xs:attributeGroup></xs:schema>"
+)
+
+
+def annotated(place: int | None) -> str:
+    """ANNOTATED with a note at `place` only; None for no note."""
+    return ANNOTATED.format(*[NOTE if i == place else "" for i in range(7)])
+
+
+@pytest.mark.parametrize("variant, plain", [
+    *[(annotated(place), annotated(None)) for place in range(7)],
+    ('<schema xmlns="http://www.w3.org/2001/XMLSchema"><element name="r">'
+     '<complexType><sequence><element name="v" type="integer"/></sequence>'
+     '<attribute name="k" type="string"/></complexType></element></schema>',
+     '<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema"><xs:element name="r">'
+     '<xs:complexType><xs:sequence><xs:element name="v" type="xs:integer"/>'
+     '</xs:sequence><xs:attribute name="k" type="xs:string"/></xs:complexType>'
+     "</xs:element></xs:schema>"),
+    (annotated(None).replace('<xs:group ref="g"/></xs:sequence>',
+                             '</xs:sequence><xs:group ref="g"/>'),
+     annotated(None)),
+], ids=[*[f"annotation-{place}" for place in range(7)], "default-namespace",
+        "group-in-type-body"])
+def test_reader_spellings_read_alike(variant, plain):
+    assert variant != plain
+    assert read_schema(variant.encode(), "t") == read_schema(plain.encode(), "t")
+
+
 def test_circular_derivation_rejected():
     schema = b"""<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
       <xs:element name="a" type="t1"/>
@@ -234,6 +275,34 @@ def test_occurrence_violation_above_max():
     assert validate(ok, schema).ok
     report = validate(too_many, schema)
     assert [v.kind for v in report.violations] == ["occurrence"]
+
+
+NAMED_INTEGER = ('<xs:element name="r" type="s"/><xs:simpleType name="s">'
+                 '<xs:restriction base="xs:integer"/></xs:simpleType>')
+CHILD_X = ('<xs:element name="r"><xs:complexType><xs:sequence>{}</xs:sequence>'
+           '</xs:complexType></xs:element><xs:element name="x" type="xs:integer"/>')
+TWO_OR_THREE = CHILD_X.format('<xs:element ref="x" minOccurs="2" maxOccurs="3"/>')
+# one name through two particles: its bounds are their sums, 1..2
+TWO_PARTICLES = CHILD_X.format('<xs:element ref="x"/><xs:element ref="x" minOccurs="0"/>')
+
+
+@pytest.mark.parametrize("body, document, kinds", [
+    (NAMED_INTEGER, "<r>5</r>", []),
+    (NAMED_INTEGER, "<r>five</r>", ["datatype"]),
+    ('<xs:element name="r"/>', '<r k="1">text<any/>more</r>', []),
+    (TWO_OR_THREE, "<r><x>1</x></r>", ["occurrence"]),
+    (TWO_OR_THREE, "<r><x>1</x><x>2</x></r>", []),
+    (CHILD_X.format(""), "<q/>", ["unknown-element"]),
+    (TWO_PARTICLES, "<r><x>1</x><x>2</x></r>", []),
+    (TWO_PARTICLES, "<r><x>1</x><x>2</x><x>3</x></r>", ["occurrence"]),
+], ids=["named-simple-valid", "named-simple-invalid", "anytype", "below-minimum",
+        "at-minimum", "undeclared-root", "two-particles-valid", "two-particles-over"])
+def test_validation_kinds(body, document, kinds):
+    schema = read_schema(
+        f'<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">{body}</xs:schema>'
+        .encode(), "t")
+    report = validate(parse_xml(document.encode(), "d"), schema)
+    assert [v.kind for v in report.violations] == kinds
 
 
 def test_unexpected_text_in_non_mixed(bibliography_single_xml, bibliography_xsd):

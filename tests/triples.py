@@ -6,6 +6,8 @@ two outputs can be compared against each other. Blank nodes only occur
 as objects (union classes, restrictions), so they canonicalize to nested
 structures; RDF collections become ("list", items); literals become
 ("lit", value, datatype) with plain literals normalized to xsd:string.
+The Turtle reader also rejects an IRI or a prefixed name that the Turtle
+grammar does not allow.
 """
 
 from __future__ import annotations
@@ -20,6 +22,18 @@ _TOKEN = re.compile(
     r'"((?:[^"\\]|\\.)*)"(\^\^\S+)?'  # literal with optional datatype
     r"|<[^>]*>"                        # IRI
     r"|\S+"                            # everything else
+)
+
+# Turtle's IRIREF, and the local part of a prefixed name (PN_LOCAL)
+_IRIREF = re.compile(r'<[^\x00-\x20<>"{}|^`\\]*>')
+_PN_CHARS_U = ("A-Za-z_\u00c0-\u00d6\u00d8-\u00f6\u00f8-\u02ff\u0370-\u037d"
+               "\u037f-\u1fff\u200c-\u200d\u2070-\u218f\u2c00-\u2fef"
+               "\u3001-\ud7ff\uf900-\ufdcf\ufdf0-\ufffd\U00010000-\U000effff")
+_PN_CHARS = _PN_CHARS_U + "\\-0-9\u00b7\u0300-\u036f\u203f-\u2040"
+_PLX = r"%[0-9A-Fa-f]{2}|\\[_~.\-!$&'()*+,;=/?#@%]"
+_PN_LOCAL = re.compile(
+    f"(?:[{_PN_CHARS_U}:0-9]|{_PLX})"
+    f"(?:(?:[{_PN_CHARS}.:]|{_PLX})*(?:[{_PN_CHARS}:]|{_PLX}))?"
 )
 
 _UNESCAPE = {"\\\\": "\\", '\\"': '"', "\\n": "\n", "\\r": "\r", "\\t": "\t"}
@@ -54,10 +68,12 @@ def parse_turtle(text: str) -> set:
         if isinstance(tok, tuple):
             raise ValueError(f"literal used as IRI: {tok}")
         if tok.startswith("<"):
+            assert _IRIREF.fullmatch(tok), f"not an IRIREF: {tok!r}"
             return tok[1:-1]
         if tok == "a":
             return RDF + "type"
         prefix, _, local = tok.partition(":")
+        assert not local or _PN_LOCAL.fullmatch(local), f"not a local name: {tok!r}"
         return prefixes[prefix] + local
 
     def obj_term():
@@ -87,9 +103,9 @@ def parse_turtle(text: str) -> set:
         tok = take()
         if tok == "@prefix":
             name = take()
-            iri = take()
+            iri = resolve(take())
             assert take() == "."
-            prefixes[name[:-1]] = iri[1:-1]
+            prefixes[name[:-1]] = iri
             continue
         subject = resolve(tok)
         while True:
