@@ -106,9 +106,8 @@ class _Populator:
         for event, instance, member, ct, content, ordinal, text in events:
             if violations:
                 continue  # the walk still checks the rest of the document
-            if event is LEAVE:
-                if content is not None:
-                    self.close(ct, content)
+            if event is LEAVE:  # only a complex-typed element leaves
+                self.close(ct, content)
             elif member is None:  # the root
                 if content is not None:
                     self.push(instance, f"{instance.name.local}_{ordinal}")

@@ -13,7 +13,9 @@ directly below string. The join of any two order-incomparable types is
 string. Classification is deliberately conservative: boolean matches only
 the literal "true"/"false" so numeric 0/1 stay integers, and nothing
 richer than these five is attempted (dates, IDs and the like would be
-false precision on small samples).
+false precision on small samples). One regular-expression match classifies
+a value: the group that matched (integer, decimal or ASCII NCName) is its
+type, and only a non-ASCII value that none matches is tried as a name.
 """
 
 from __future__ import annotations
@@ -38,9 +40,13 @@ _BELOW = {
     STRING: set(),
 }
 
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
-_DECIMAL_RE = re.compile(r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+)\Z")
-_ASCII_NCNAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9._-]*\Z")
+_INTEGER = r"[+-]?[0-9]+"
+_DECIMAL = r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+)"
+_ASCII_NCNAME = r"[A-Za-z_][A-Za-z0-9._-]*"
+# only integer and decimal share a first character; integer is tried first
+_CLASSIFY = re.compile(f"(?:({_INTEGER})|({_DECIMAL})|({_ASCII_NCNAME}))\\Z").match
+_CLASSIFIED = (None, INTEGER, DECIMAL, NCNAME)  # by group number
+_ASCII_NCNAME_RE = re.compile(_ASCII_NCNAME + r"\Z")
 # XML 1.0 (fifth edition) NameStartChar without ":", and NameChar; apart
 # from ".", a NameChar is exactly a character of Turtle's PN_CHARS. Patterns
 # with these classes are compiled on first use, through re's cache: they
@@ -67,13 +73,11 @@ def infer_datatype(value: str) -> str:
     """Classify a lexical value as the most specific lattice type."""
     if value in ("true", "false"):
         return BOOLEAN
-    if _INTEGER_RE.match(value):
-        return INTEGER
-    if _DECIMAL_RE.match(value):
-        return DECIMAL
-    if is_ncname(value):
-        return NCNAME
-    return STRING
+    m = _CLASSIFY(value)
+    if m is not None:
+        return _CLASSIFIED[m.lastindex]
+    # no ASCII name, but possibly a non-ASCII one
+    return NCNAME if not value.isascii() and is_ncname(value) else STRING
 
 
 def join_datatype(a: str, b: str) -> str:
@@ -91,12 +95,12 @@ def join_datatype(a: str, b: str) -> str:
 # ABox literals. Types without an entry are accepted unchecked (facet
 # checking beyond the lexical match is out of scope). xs:boolean's full
 # lexical space includes 0/1 even though classification does not use them.
+# Each check returns a match (or a bool), truthy when the value is valid.
 _LEXICAL = {
-    BOOLEAN: lambda v: v in ("true", "false", "0", "1"),
-    INTEGER: lambda v: bool(_INTEGER_RE.match(v)),
-    DECIMAL: lambda v: bool(_INTEGER_RE.match(v)) or bool(_DECIMAL_RE.match(v)),
+    BOOLEAN: re.compile(r"(?:true|false|0|1)\Z").match,
+    INTEGER: re.compile(_INTEGER + r"\Z").match,
+    DECIMAL: re.compile(f"(?:{_INTEGER}|{_DECIMAL})\\Z").match,
     NCNAME: is_ncname,
-    STRING: lambda v: True,
 }
 
 # Integer-family aliases share xs:integer's lexical check (sign + digits is
@@ -112,4 +116,4 @@ for _alias in (
 
 def lexically_valid(value: str, datatype: str) -> bool:
     check = _LEXICAL.get(datatype)
-    return True if check is None else check(value)
+    return True if check is None else bool(check(value))

@@ -3,7 +3,9 @@
 One profile is accumulated per distinct element name across all input
 documents, then turned into a salami-slice schema: every element becomes
 a global declaration, structured elements get an inline anonymous
-complexType whose xs:sequence references the children.
+complexType whose xs:sequence references the children. Each instance is
+folded in with one pass over its children, and a text leaf, the commonest
+element, builds no child counts.
 
 The merge rules are this implementation's own policy (different inference
 tools resolve the same evidence differently):
@@ -72,13 +74,23 @@ class ElementProfile:
 
 
 def _observe(profile: ElementProfile, e: XmlElement):
+    """Fold one instance into its profile, in one pass over its children: a
+    leaf builds no child counts, an element without attributes no set."""
     profile.instances += 1
-    children = e.child_elements()
-    has_text = len(children) != len(e.children)
+    counts: dict[str, int] | None = None  # per child name, first-seen order
+    has_text = False
+    for child in e.children:
+        if isinstance(child, str):
+            has_text = True
+        elif counts is None:
+            counts = {child.name.local: 1}
+        else:
+            name = child.name.local
+            counts[name] = counts.get(name, 0) + 1
 
-    is_text_leaf = not children and has_text
+    is_text_leaf = counts is None and has_text
     if not profile._merge_warned and (
-        (children and profile._saw_text_leaf)
+        (counts and profile._saw_text_leaf)
         or (is_text_leaf and profile.has_element_children)
     ):
         logger.warning(
@@ -87,8 +99,6 @@ def _observe(profile: ElementProfile, e: XmlElement):
         )
         profile._merge_warned = True
 
-    if children:
-        profile.has_element_children = True
     if has_text:
         profile.has_text = True
         value = text_content(e)
@@ -97,44 +107,40 @@ def _observe(profile: ElementProfile, e: XmlElement):
             else join_datatype(profile.text_type, t)
     if is_text_leaf:
         profile._saw_text_leaf = True
-    if not children and not has_text:
+    elif counts is None and not has_text:
         profile._saw_textless = True
 
-    counts: dict[str, int] = {}
-    instance_order: list[str] = []
-    for child in children:
-        name = child.name.local
-        counts[name] = counts.get(name, 0) + 1
-        if counts[name] == 1:
-            instance_order.append(name)
-    for name, n in counts.items():
-        if name not in profile.child_max:
-            profile._child_rank[name] = len(profile.child_order)
-            profile.child_order.append(name)
-            profile.child_max[name] = 1
-        if n >= 2:
-            profile.child_max[name] = UNBOUNDED
-        profile._child_presence[name] = profile._child_presence.get(name, 0) + 1
-    if not profile._order_warned:
-        ranks = [profile._child_rank[n] for n in instance_order]
-        if any(a > b for a, b in zip(ranks, ranks[1:])):
-            logger.warning(
-                "children of %r appear in conflicting orders; keeping "
-                "first-seen order", profile.name,
-            )
-            profile._order_warned = True
+    if counts is not None:
+        profile.has_element_children = True
+        for name, n in counts.items():
+            if name not in profile.child_max:
+                profile._child_rank[name] = len(profile.child_order)
+                profile.child_order.append(name)
+                profile.child_max[name] = 1
+            if n >= 2:
+                profile.child_max[name] = UNBOUNDED
+            profile._child_presence[name] = profile._child_presence.get(name, 0) + 1
+        if not profile._order_warned:
+            ranks = [profile._child_rank[n] for n in counts]
+            if any(a > b for a, b in zip(ranks, ranks[1:])):
+                logger.warning(
+                    "children of %r appear in conflicting orders; keeping "
+                    "first-seen order", profile.name,
+                )
+                profile._order_warned = True
 
-    counted: set[str] = set()  # p:id and q:id are one attribute, counted once
-    for name, value in e.attributes:
-        if name.is_ns_decl:
-            continue  # namespace declarations are not data
-        local = name.local
-        t = infer_datatype(value)
-        profile.attr_type[local] = t if local not in profile.attr_type \
-            else join_datatype(profile.attr_type[local], t)
-        if local not in counted:
-            counted.add(local)
-            profile._attr_presence[local] = profile._attr_presence.get(local, 0) + 1
+    if e.attributes:
+        counted: set[str] = set()  # p:id and q:id are one attribute, counted once
+        for name, value in e.attributes:
+            if name.is_ns_decl:
+                continue  # namespace declarations are not data
+            local = name.local
+            t = infer_datatype(value)
+            profile.attr_type[local] = t if local not in profile.attr_type \
+                else join_datatype(profile.attr_type[local], t)
+            if local not in counted:
+                counted.add(local)
+                profile._attr_presence[local] = profile._attr_presence.get(local, 0) + 1
 
 
 def accumulate_profiles(docs: list[XmlDocument]) -> dict[str, ElementProfile]:

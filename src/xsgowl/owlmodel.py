@@ -7,12 +7,17 @@ ontology header, classes, object properties (with any cardinality
 restriction axioms), datatype properties, individuals — each category
 sorted alphabetically by IRI fragment, so equal models serialize to
 byte-identical output.
+
+The writers render once per model what depends only on an IRI, a property
+or a datatype: each IRI's escaped text, each (property, datatype) pair's
+literal suffix and tags. A value with nothing to escape costs one search.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple
 
 from .datatypes import NAME_CHARS, is_ncname, lexically_valid
@@ -28,6 +33,19 @@ XSD_ANYTYPE = XSD_NS + "anyType"
 
 def xsd_iri(local: str) -> str:
     return XSD_NS + local
+
+
+class _Memo(dict):
+    """A function's results by argument, each computed on first use, so what
+    depends only on an IRI or a datatype is worked out once per model."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
 
 
 class Iri(NamedTuple):
@@ -111,6 +129,7 @@ class OntologyModel:
         obj_props = {p.iri for p in self.object_properties}
         dt_props = {p.iri for p in self.datatype_properties}
         individual_iris = {i.iri for i in self.individuals}
+        xsd_local = _Memo(lambda dt: dt[len(XSD_NS):] if dt.startswith(XSD_NS) else "")
         for ind in self.individuals:
             if ind.class_iri not in class_iris:
                 raise ValueError(f"individual {ind.iri.fragment} has undeclared class")
@@ -122,7 +141,8 @@ class OntologyModel:
             for prop, value, dt in ind.data_assertions:
                 if prop not in dt_props:
                     raise ValueError(f"undeclared datatype property {prop.fragment}")
-                if dt.startswith(XSD_NS) and not lexically_valid(value, dt[len(XSD_NS):]):
+                local = xsd_local[dt]
+                if local and not lexically_valid(value, local):
                     raise ValueError(
                         f"value {value!r} is not lexically valid for {dt}"
                     )
@@ -187,6 +207,22 @@ class FragmentAllocator:
 # Turtle
 
 
+_BY_FRAGMENT = attrgetter("iri.fragment")  # the sort keys, for both writers
+
+
+def _object_key(a: tuple[Iri, Iri]) -> tuple[str, str]:
+    return a[0].fragment, a[1].fragment
+
+
+def _data_key(a: tuple[Iri, str, str]) -> tuple[str, str]:
+    return a[0].fragment, a[1]
+
+
+def _in_order(assertions: tuple, key) -> tuple | list:
+    """An individual's assertions in output order; one alone needs no sort."""
+    return sorted(assertions, key=key) if len(assertions) > 1 else assertions
+
+
 def _turtle_datatype(dt: str) -> str:
     if dt.startswith(XSD_NS):
         return "xsd:" + dt[len(XSD_NS):]
@@ -195,17 +231,20 @@ def _turtle_datatype(dt: str) -> str:
     return f"<{dt}>"
 
 
-def _turtle_string(s: str) -> str:
-    escaped = (
+_TURTLE_SPECIAL = re.compile('[\\\\"\n\r\t]').search
+
+
+def _turtle_escape(s: str) -> str:
+    if _TURTLE_SPECIAL(s) is None:
+        return s  # most values have nothing to escape
+    return (
         s.replace("\\", "\\\\").replace('"', '\\"')
         .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
     )
-    return f'"{escaped}"'
 
 
-def _turtle_literal(value: str, dt: str) -> str:
-    text = _turtle_string(value)
-    return text if not dt else f"{text}^^{_turtle_datatype(dt)}"
+def _turtle_string(s: str) -> str:
+    return f'"{_turtle_escape(s)}"'
 
 
 def _domain_expr(domain: tuple[Iri, ...]) -> str:
@@ -222,7 +261,7 @@ def _cardinality_axioms(p: ObjectProperty) -> list[tuple[Iri, str, int]]:
         return []
     low, high = p.cardinality
     axioms = []
-    for d in sorted(p.domain, key=lambda i: i.fragment):
+    for d in sorted(p.domain, key=attrgetter("fragment")):
         if low > 0:
             axioms.append((d, "minCardinality", low))
         if high is not None:
@@ -243,7 +282,7 @@ def serialize_turtle(o: OntologyModel) -> str:
         "",
     ]
 
-    for c in sorted(o.classes, key=lambda c: c.iri.fragment):
+    for c in sorted(o.classes, key=_BY_FRAGMENT):
         lines = [f":{c.iri.fragment} a owl:Class ;"]
         if c.subclass_of is not None:
             lines.append(f"    rdfs:subClassOf :{c.subclass_of.fragment} ;")
@@ -251,7 +290,7 @@ def serialize_turtle(o: OntologyModel) -> str:
         out.extend(lines)
         out.append("")
 
-    for p in sorted(o.object_properties, key=lambda p: p.iri.fragment):
+    for p in sorted(o.object_properties, key=_BY_FRAGMENT):
         out.append(f":{p.iri.fragment} a owl:ObjectProperty ;")
         out.append(f"    rdfs:domain {_domain_expr(p.domain)} ;")
         out.append(f"    rdfs:range :{p.range.fragment} .")
@@ -263,41 +302,46 @@ def serialize_turtle(o: OntologyModel) -> str:
             )
         out.append("")
 
-    for p in sorted(o.datatype_properties, key=lambda p: p.iri.fragment):
+    for p in sorted(o.datatype_properties, key=_BY_FRAGMENT):
         out.append(f":{p.iri.fragment} a owl:DatatypeProperty ;")
         out.append(f"    rdfs:domain {_domain_expr(p.domain)} ;")
         out.append(f"    rdfs:range {_turtle_datatype(p.range)} .")
         out.append("")
 
-    for ind in sorted(o.individuals, key=lambda i: i.iri.fragment):
+    # each (property, datatype) pair's text around a literal's value
+    literal = _Memo(lambda pair: (
+        f'    :{pair[0].fragment} "',
+        f'"^^{_turtle_datatype(pair[1])} ;' if pair[1] else '" ;',
+    ))
+    for ind in sorted(o.individuals, key=_BY_FRAGMENT):
+        # each line ends its statement with " ;", and the last one with " ."
         out.append(
-            f":{ind.iri.fragment} a owl:NamedIndividual , :{ind.class_iri.fragment}"
+            f":{ind.iri.fragment} a owl:NamedIndividual , :{ind.class_iri.fragment} ;"
         )
-        statements = []
-        for prop, target in sorted(
-            ind.object_assertions, key=lambda a: (a[0].fragment, a[1].fragment)
-        ):
-            statements.append(f"    :{prop.fragment} :{target.fragment}")
-        for prop, value, dt in sorted(
-            ind.data_assertions, key=lambda a: (a[0].fragment, a[1])
-        ):
-            statements.append(f"    :{prop.fragment} {_turtle_literal(value, dt)}")
-        for s in statements:
-            out[-1] += " ;"
-            out.append(s)
-        out[-1] += " ."
+        for prop, target in _in_order(ind.object_assertions, _object_key):
+            out.append(f"    :{prop.fragment} :{target.fragment} ;")
+        for prop, value, dt in _in_order(ind.data_assertions, _data_key):
+            head, tail = literal[prop, dt]
+            out.append(f"{head}{_turtle_escape(value)}{tail}")
+        out[-1] = out[-1][:-1] + "."
         out.append("")
 
     while out and out[-1] == "":
         out.pop()
-    return "\n".join(out) + "\n"
+    out.append("")  # the final newline, without copying the document again
+    return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------
 # RDF/XML
 
 
+_XML_SPECIAL = re.compile("[&<>\r]").search
+
+
 def _xml_escape(s: str) -> str:
+    if _XML_SPECIAL(s) is None:
+        return s  # most values have nothing to escape
     # an XML parser reads a raw carriage return back as a line feed
     return (s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             .replace("\r", "&#13;"))
@@ -318,44 +362,42 @@ def serialize_rdfxml(o: OntologyModel) -> str:
         f'         xmlns:ont="{_xml_attr(base + "#")}">',
         f'  <owl:Ontology rdf:about="{_xml_attr(base)}"/>',
     ]
-
-    def about(iri: Iri) -> str:
-        return _xml_attr(iri.full)
+    about = _Memo(lambda iri: _xml_attr(iri.full))  # each IRI, escaped
 
     def domain_xml(domain: tuple[Iri, ...], indent: str) -> list[str]:
         if len(domain) == 1:
-            return [f'{indent}<rdfs:domain rdf:resource="{about(domain[0])}"/>']
+            return [f'{indent}<rdfs:domain rdf:resource="{about[domain[0]]}"/>']
         lines = [
             f"{indent}<rdfs:domain>",
             f"{indent}  <owl:Class>",
             f'{indent}    <owl:unionOf rdf:parseType="Collection">',
         ]
         for d in domain:
-            lines.append(f'{indent}      <rdf:Description rdf:about="{about(d)}"/>')
+            lines.append(f'{indent}      <rdf:Description rdf:about="{about[d]}"/>')
         lines.append(f"{indent}    </owl:unionOf>")
         lines.append(f"{indent}  </owl:Class>")
         lines.append(f"{indent}</rdfs:domain>")
         return lines
 
-    for c in sorted(o.classes, key=lambda c: c.iri.fragment):
-        out.append(f'  <owl:Class rdf:about="{about(c.iri)}">')
+    for c in sorted(o.classes, key=_BY_FRAGMENT):
+        out.append(f'  <owl:Class rdf:about="{about[c.iri]}">')
         if c.subclass_of is not None:
             out.append(
-                f'    <rdfs:subClassOf rdf:resource="{about(c.subclass_of)}"/>'
+                f'    <rdfs:subClassOf rdf:resource="{about[c.subclass_of]}"/>'
             )
         out.append(f"    <rdfs:label>{_xml_escape(c.label)}</rdfs:label>")
         out.append("  </owl:Class>")
 
-    for p in sorted(o.object_properties, key=lambda p: p.iri.fragment):
-        out.append(f'  <owl:ObjectProperty rdf:about="{about(p.iri)}">')
+    for p in sorted(o.object_properties, key=_BY_FRAGMENT):
+        out.append(f'  <owl:ObjectProperty rdf:about="{about[p.iri]}">')
         out.extend(domain_xml(p.domain, "    "))
-        out.append(f'    <rdfs:range rdf:resource="{about(p.range)}"/>')
+        out.append(f'    <rdfs:range rdf:resource="{about[p.range]}"/>')
         out.append("  </owl:ObjectProperty>")
         for cls, facet, value in _cardinality_axioms(p):
-            out.append(f'  <rdf:Description rdf:about="{about(cls)}">')
+            out.append(f'  <rdf:Description rdf:about="{about[cls]}">')
             out.append("    <rdfs:subClassOf>")
             out.append("      <owl:Restriction>")
-            out.append(f'        <owl:onProperty rdf:resource="{about(p.iri)}"/>')
+            out.append(f'        <owl:onProperty rdf:resource="{about[p.iri]}"/>')
             out.append(
                 f'        <owl:{facet} rdf:datatype="{XSD_NS}nonNegativeInteger">'
                 f"{value}</owl:{facet}>"
@@ -364,38 +406,31 @@ def serialize_rdfxml(o: OntologyModel) -> str:
             out.append("    </rdfs:subClassOf>")
             out.append("  </rdf:Description>")
 
-    for p in sorted(o.datatype_properties, key=lambda p: p.iri.fragment):
-        out.append(f'  <owl:DatatypeProperty rdf:about="{about(p.iri)}">')
+    for p in sorted(o.datatype_properties, key=_BY_FRAGMENT):
+        out.append(f'  <owl:DatatypeProperty rdf:about="{about[p.iri]}">')
         out.extend(domain_xml(p.domain, "    "))
         out.append(f'    <rdfs:range rdf:resource="{_xml_attr(p.range)}"/>')
         out.append("  </owl:DatatypeProperty>")
 
-    for ind in sorted(o.individuals, key=lambda i: i.iri.fragment):
-        out.append(f'  <owl:NamedIndividual rdf:about="{about(ind.iri)}">')
-        out.append(f'    <rdf:type rdf:resource="{about(ind.class_iri)}"/>')
-        for prop, target in sorted(
-            ind.object_assertions, key=lambda a: (a[0].fragment, a[1].fragment)
-        ):
-            out.append(
-                f'    <ont:{prop.fragment} rdf:resource="{about(target)}"/>'
-            )
-        for prop, value, dt in sorted(
-            ind.data_assertions, key=lambda a: (a[0].fragment, a[1])
-        ):
-            if dt:
-                out.append(
-                    f'    <ont:{prop.fragment} rdf:datatype="{_xml_attr(dt)}">'
-                    f"{_xml_escape(value)}</ont:{prop.fragment}>"
-                )
-            else:
-                out.append(
-                    f"    <ont:{prop.fragment}>{_xml_escape(value)}"
-                    f"</ont:{prop.fragment}>"
-                )
+    # each (property, datatype) pair's start and end tag
+    tags = _Memo(lambda pair: (
+        f'    <ont:{pair[0].fragment} rdf:datatype="{_xml_attr(pair[1])}">'
+        if pair[1] else f"    <ont:{pair[0].fragment}>",
+        f"</ont:{pair[0].fragment}>",
+    ))
+    for ind in sorted(o.individuals, key=_BY_FRAGMENT):
+        out.append(f'  <owl:NamedIndividual rdf:about="{about[ind.iri]}">')
+        out.append(f'    <rdf:type rdf:resource="{about[ind.class_iri]}"/>')
+        for prop, target in _in_order(ind.object_assertions, _object_key):
+            out.append(f'    <ont:{prop.fragment} rdf:resource="{about[target]}"/>')
+        for prop, value, dt in _in_order(ind.data_assertions, _data_key):
+            start, end = tags[prop, dt]
+            out.append(f"{start}{_xml_escape(value)}{end}")
         out.append("  </owl:NamedIndividual>")
 
     out.append("</rdf:RDF>")
-    return "\n".join(out) + "\n"
+    out.append("")  # the final newline, without copying the document again
+    return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -32,14 +32,15 @@ class ParseError(Exception):
 class XmlName:
     prefix: str | None
     local: str
+    # an xmlns or xmlns:* attribute name; set once, as every attribute asks
+    is_ns_decl: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "is_ns_decl", self.prefix == "xmlns" or (
+            self.prefix is None and self.local == "xmlns"))
 
     def __str__(self) -> str:
         return self.local if self.prefix is None else f"{self.prefix}:{self.local}"
-
-    @property
-    def is_ns_decl(self) -> bool:
-        """True for an xmlns or xmlns:* attribute name."""
-        return self.prefix == "xmlns" or (self.prefix is None and self.local == "xmlns")
 
 
 @dataclass(frozen=True)
@@ -138,12 +139,15 @@ class _TreeBuilder:
         return name
 
     def start(self, raw_name, raw_attrs):
-        pos = self.pos()
-        attrs = tuple(
-            (self.intern(raw_attrs[i], pos), raw_attrs[i + 1])
-            for i in range(0, len(raw_attrs), 2)
-        ) if raw_attrs else ()
-        self.stack.append(_Frame(self.intern(raw_name, pos), attrs, pos))
+        parser = self.parser
+        pos = (parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
+        attrs = ()
+        if raw_attrs:
+            intern = self.intern
+            attrs = tuple([(intern(raw, pos), value) for raw, value
+                           in zip(raw_attrs[::2], raw_attrs[1::2])])
+        name = self.names.get(raw_name) or self.intern(raw_name, pos)
+        self.stack.append(_Frame(name, attrs, pos))
 
     def text(self, data):
         children = self.stack[-1].children
@@ -156,9 +160,11 @@ class _TreeBuilder:
 
     def end(self, raw_name):
         frame = self.stack.pop()
-        kept = tuple(
-            c for c in frame.children if not isinstance(c, str) or c.strip()
-        )
+        children = frame.children
+        if len(children) == 1 and isinstance(children[0], str):
+            kept = (children[0],) if children[0].strip() else ()  # a text leaf
+        else:
+            kept = tuple([c for c in children if not isinstance(c, str) or c.strip()])
         element = XmlElement(frame.name, frame.attrs, kept, frame.pos)
         if self.stack:
             self.stack[-1].children.append(element)

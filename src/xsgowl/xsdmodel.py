@@ -22,9 +22,10 @@ validator here, the TBox generator and instance population all read it.
 
 `walk_instances` is the one traversal of an instance document, the
 validator's: an explicit stack that checks each element and then yields
-enter and leave events with the declaration member that admitted it, its
+an enter event with the declaration member that admitted it, its
 resolved type and content, its sibling ordinal and, when its type is not
-complex, the text the check read. `validate` drains it;
+complex, the text the check read; a complex-typed element also yields a
+leave event after its children. `validate` drains it;
 instance population (abox.py) builds individuals from the same events, so
 no document depth runs into Python's recursion limit either.
 
@@ -952,13 +953,15 @@ class _Validator:
                         "undeclared-attribute",
                         f"attribute {name.local!r} not allowed on simple-typed element",
                     )
-            for child in instance.children:
-                if isinstance(child, XmlElement):
-                    self.complain(
-                        "unknown-element",
-                        f"element {child.name.local!r} not allowed inside "
-                        f"simple-typed element",
-                    )
+            children = instance.children
+            if len(children) != 1 or not isinstance(children[0], str):  # not a text leaf
+                for child in children:
+                    if isinstance(child, XmlElement):
+                        self.complain(
+                            "unknown-element",
+                            f"element {child.name.local!r} not allowed inside "
+                            f"simple-typed element",
+                        )
             text = text_content(instance)
             self.check_simple_value(text, resolved)
             return resolved, None, (), text
@@ -1023,12 +1026,14 @@ def walk_instances(doc: XmlDocument, schema: SchemaModel, violations: list[Viola
     """Check the document against the schema, depth first in document
     order on an explicit stack, appending each violation to `violations`
     as it is found. Yields (ENTER, instance, member, type, content, ordinal,
-    text) once an element is checked and (LEAVE, ...) after its children:
-    the (particle, GroupUse or None) member that admitted it (None for the
-    root), its resolved type, that type's flattened content (None unless
-    the type is complex), its 1-based ordinal among same-name siblings and
-    its trimmed text (None when the type is complex), read once for the
-    check and its consumers.
+    text) once an element is checked and, for a complex-typed element only,
+    (LEAVE, ...) after its children: the (particle, GroupUse or None)
+    member that admitted it (None for the root), its resolved type, that
+    type's flattened content (None unless the type is complex), its 1-based
+    ordinal among same-name siblings and its trimmed text (None when the
+    type is complex), read once for the check and its consumers. So ENTER
+    and LEAVE pair up for complex-typed elements, and a simple-typed one,
+    which has nothing to close, yields ENTER alone.
     An element that no declaration admits yields no events."""
     v = _Validator(schema, violations)
     root, trail = doc.root, v.trail
@@ -1063,11 +1068,13 @@ def walk_instances(doc: XmlDocument, schema: SchemaModel, violations: list[Viola
                               iter(below), {}))
                 break
             del trail[-2:]
-            yield LEAVE, child, member, resolved, content, ordinal, text
+            if content is not None:
+                yield LEAVE, child, member, resolved, content, ordinal, text
         else:
             stack.pop()
             del trail[-2:]
-            yield (LEAVE, *fields)
+            if fields[3] is not None:  # only a simple-typed root has none
+                yield (LEAVE, *fields)
 
 
 def validate(doc: XmlDocument, schema: SchemaModel) -> ValidationReport:

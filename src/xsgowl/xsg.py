@@ -295,7 +295,9 @@ def to_dot(g: SchemaGraph) -> str:
     dashed. Output order follows vertex/edge ids, so it is stable."""
     lines = ["digraph xsg {", "  rankdir=TB;"]
     for v in g.vertices:
-        lines.append(f'  v{v.id} [label="{v.label}", shape={_SHAPES[v.kind]}];')
+        # a DOT label reads `\` as an escape, and `"` would end the string
+        label = v.label.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  v{v.id} [label="{label}", shape={_SHAPES[v.kind]}];')
     back = set(g.back_edges)
     for e in g.edges:
         attrs = []

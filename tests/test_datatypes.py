@@ -1,3 +1,5 @@
+import random
+import re
 from itertools import product
 
 import pytest
@@ -157,3 +159,65 @@ def test_sanitize_fragment_matches_per_character_reference():
     mismatched = [v for v in NCNAME_CASES
                   if sanitize_fragment(v) != reference_sanitize(v)]
     assert mismatched == []
+
+
+# --- one-match classification against the three-regex chain it replaced -------
+
+REF_INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
+REF_DECIMAL_RE = re.compile(r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+)\Z")
+
+
+def reference_infer_datatype(value: str) -> str:
+    if value in ("true", "false"):
+        return BOOLEAN
+    if REF_INTEGER_RE.match(value):
+        return INTEGER
+    if REF_DECIMAL_RE.match(value):
+        return DECIMAL
+    if is_ncname(value):
+        return NCNAME
+    return STRING
+
+
+REF_LEXICAL = {
+    BOOLEAN: lambda v: v in ("true", "false", "0", "1"),
+    INTEGER: lambda v: bool(REF_INTEGER_RE.match(v)),
+    DECIMAL: lambda v: bool(REF_INTEGER_RE.match(v)) or bool(REF_DECIMAL_RE.match(v)),
+    NCNAME: is_ncname,
+    STRING: lambda v: True,
+}
+INTEGER_ALIASES = (
+    "long", "int", "short", "byte",
+    "nonNegativeInteger", "positiveInteger",
+    "nonPositiveInteger", "negativeInteger",
+    "unsignedLong", "unsignedInt", "unsignedShort", "unsignedByte",
+)
+for alias in INTEGER_ALIASES:
+    REF_LEXICAL[alias] = REF_LEXICAL[INTEGER]
+
+
+def reference_lexically_valid(value: str, datatype: str) -> bool:
+    check = REF_LEXICAL.get(datatype)
+    return True if check is None else check(value)
+
+
+ALPHABET = ["0", "9", "+", "-", ".", "a", "Z", "_", ":", "é", "²", " "]
+
+
+def classification_cases() -> list[str]:
+    short = ["".join(t) for n in range(4) for t in product(ALPHABET, repeat=n)]
+    rng = random.Random(12)
+    longer = ["".join(rng.choice(ALPHABET) for _ in range(rng.randint(4, 12)))
+              for _ in range(2000)]
+    return short + ["true", "false", ""] + longer
+
+
+def test_classification_matches_three_regex_reference():
+    cases = classification_cases()
+    assert len(cases) == 1885 + 3 + 2000
+    mismatched = [v for v in cases if infer_datatype(v) != reference_infer_datatype(v)]
+    assert mismatched == []
+    for datatype in (*LATTICE_TYPES, *INTEGER_ALIASES, "dateTime"):
+        mismatched = [v for v in cases if lexically_valid(v, datatype)
+                      is not reference_lexically_valid(v, datatype)]
+        assert mismatched == [], datatype

@@ -120,20 +120,39 @@ def test_entities_sorted_by_fragment():
         < ttl.index(":bibliography a owl:Class")
 
 
+SPECIAL = ["\\", '"', "\n", "\r", "\t", "&", "<", ">"]
+TURTLE_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+XML_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
+
+
+def escaped(text: str, escapes: dict[str, str]) -> str:
+    return "".join(escapes.get(c, c) for c in text)
+
+
 def test_string_escaping_round_trips():
-    model = small_model(
-        datatype_properties=(
-            DatatypeProperty(iri("note"), (iri("author"),), xsd_iri("string")),
-        ),
-        individuals=(
-            Individual(iri("x"), iri("author"), data_assertions=(
-                (iri("note"), 'quote " backslash \\ newline\n<tag>&', xsd_iri("string")),
-            )),
-        ),
-    )
-    turtle_triples = parse_turtle(serialize_turtle(model))
-    xml_triples = parse_rdfxml(serialize_rdfxml(model))
-    assert turtle_triples == xml_triples
+    # each character that either syntax escapes, alone and all together, in
+    # a literal and a label, in a model whose base IRI holds "&"
+    base = "http://example.org/onto/t&u"
+    author, note = Iri(base, "author"), Iri(base, "note")
+    for special in SPECIAL + ["".join(SPECIAL)]:
+        value, label = f"v{special}w", f"label{special}"
+        model = OntologyModel(
+            ontology_iri=base,
+            classes=(OwlClass(author, label),),
+            datatype_properties=(DatatypeProperty(note, (author,), xsd_iri("string")),),
+            individuals=(Individual(Iri(base, "x"), author, data_assertions=(
+                (note, value, xsd_iri("string")),
+            )),),
+        )
+        ttl, rdf = serialize_turtle(model), serialize_rdfxml(model)
+        assert parse_turtle(ttl) == parse_rdfxml(rdf), repr(special)
+        assert f':note "{escaped(value, TURTLE_ESCAPES)}"^^xsd:string .' in ttl
+        assert f'rdfs:label "{escaped(label, TURTLE_ESCAPES)}" .' in ttl
+        assert f"@prefix : <{base}#> ." in ttl
+        assert f">{escaped(value, XML_ESCAPES)}</ont:note>" in rdf
+        assert f"<rdfs:label>{escaped(label, XML_ESCAPES)}</rdfs:label>" in rdf
+        assert 'rdf:about="http://example.org/onto/t&amp;u#x"' in rdf
+        assert 'xmlns:ont="http://example.org/onto/t&amp;u#"' in rdf
 
 
 def test_referential_closure_enforced():

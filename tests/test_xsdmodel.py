@@ -6,6 +6,8 @@ import pytest
 from xsgowl.infer import infer_schema
 from xsgowl.xmldoc import parse_xml
 from xsgowl.xsdmodel import (
+    ENTER,
+    LEAVE,
     AttrDecl,
     AttrGroupDecl,
     BuiltinRef,
@@ -19,6 +21,7 @@ from xsgowl.xsdmodel import (
     read_schema,
     serialize_schema,
     validate,
+    walk_instances,
 )
 from randgen import random_document, random_schema
 
@@ -380,3 +383,37 @@ def test_model_freed_with_its_view():
     finally:
         if enabled:
             gc.enable()
+
+
+WALK_SCHEMA = b"""<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="r"><xs:complexType><xs:sequence>
+    <xs:element name="a" maxOccurs="unbounded"><xs:complexType>
+      <xs:sequence><xs:element name="b" type="xs:string"/></xs:sequence>
+      <xs:attribute name="k" type="xs:integer"/>
+    </xs:complexType></xs:element>
+    <xs:element name="c" type="xs:integer"/>
+    <xs:element name="e"><xs:complexType/></xs:element>
+  </xs:sequence></xs:complexType></xs:element>
+  <xs:element name="s" type="xs:string"/>
+</xs:schema>"""
+
+
+def walk_events(xml: bytes) -> list[tuple[str, str]]:
+    violations = []
+    events = [(event, instance.name.local) for event, instance, *_ in walk_instances(
+        parse_xml(xml, "d"), read_schema(WALK_SCHEMA, "t"), violations)]
+    assert violations == []
+    return events
+
+
+def test_walk_pairs_enter_and_leave_for_complex_types_only():
+    events = walk_events(b'<r><a k="1"><b>x</b></a><c>5</c><e/><a><b>y</b></a></r>')
+    assert events == [
+        (ENTER, "r"),
+        (ENTER, "a"), (ENTER, "b"), (LEAVE, "a"),
+        (ENTER, "c"),
+        (ENTER, "e"), (LEAVE, "e"),
+        (ENTER, "a"), (ENTER, "b"), (LEAVE, "a"),
+        (LEAVE, "r"),
+    ]
+    assert walk_events(b"<s>text</s>") == [(ENTER, "s")]  # a simple-typed root

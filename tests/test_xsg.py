@@ -250,3 +250,26 @@ def test_dot_golden_counts(bibliography_xsd):
 def test_dot_back_edge_dashed():
     dot = to_dot(build_xsg(read_schema(RECURSIVE_SCHEMA, "t")))
     assert dot.count("style=dashed") == 1
+
+
+# a DOT quoted string: any character but `"` and `\`, or a `\` pair
+DOT_NODE = re.compile(r'  v(\d+) \[label="((?:[^"\\]|\\.)*)", shape=\w+\];')
+
+
+def test_dot_labels_escaped():
+    graph = build_xsg(read_schema(
+        b"""<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+          <xs:element name="r"><xs:complexType><xs:sequence>
+            <xs:element name="a&quot;b" type="xs:string"/>
+            <xs:element name="c\\d" type="xs:string"/>
+          </xs:sequence></xs:complexType></xs:element>
+        </xs:schema>""", "t"))
+    lines = [line for line in to_dot(graph).splitlines() if "[label=" in line
+             and "->" not in line]
+    decoded = []
+    for line in lines:
+        m = DOT_NODE.fullmatch(line)
+        assert m is not None, line
+        decoded.append(re.sub(r"\\(.)", r"\1", m.group(2)))
+    assert decoded == [v.label for v in graph.vertices]
+    assert {'a"b', "c\\d"} <= set(decoded)
