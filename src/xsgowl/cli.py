@@ -161,13 +161,19 @@ def _load_schema(path: str, kind: str):
     return infer_schema([doc]), doc
 
 
-def _tbox(stem: str, schema: SchemaModel,
-          cfg: RunConfig) -> tuple[OntologyModel, MappingTrace]:
-    """(TBox, mapping trace) of one source's schema, writing the schema
-    graph's DOT file if asked; the graph is freed on return."""
+def _graph(stem: str, schema: SchemaModel, cfg: RunConfig):
+    """One source's schema graph, after writing its DOT file if asked."""
     graph = build_xsg(schema)
     if cfg.emit_dot:
         _atomic_write(Path(cfg.out_dir) / f"{stem}.dot", to_dot(graph))
+    return graph
+
+
+def _tbox(stem: str, schema: SchemaModel,
+          cfg: RunConfig) -> tuple[OntologyModel, MappingTrace]:
+    """(TBox, mapping trace) of one source's schema, writing the schema
+    graph's DOT file if asked. No local name holds the graph, so
+    `generate_tbox` frees it after its last read."""
     segment = _NOT_IN_STEM.sub(lambda m: f"%{ord(m[0]):02X}", stem)  # one byte each
     opts = GenOptions(
         base_iri=f"{cfg.base_iri}/{segment}",
@@ -175,7 +181,7 @@ def _tbox(stem: str, schema: SchemaModel,
         union_domains=not cfg.literal_domains,
         strict_dl=cfg.strict_dl,
     )
-    return generate_tbox(schema, graph, opts)
+    return generate_tbox(schema, _graph(stem, schema, cfg), opts)
 
 
 def _ontology(path: str, stem: str, cfg: RunConfig) -> OntologyModel:

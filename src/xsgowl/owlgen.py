@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .datatypes import LATTICE_TYPES, join_datatype
@@ -97,38 +98,37 @@ class GenOptions:
 
 def write_trace(t: MappingTrace) -> str:
     """Line-oriented TSV: schema-path, entity kind, rule id, IRI."""
-    if not t.bridges:
-        return ""
-    return "\n".join(
-        f"{b.schema_path}\t{b.entity_kind}\t{b.rule_id}\t{b.iri.full}"
-        for b in t.bridges
-    ) + "\n"
+    lines = [f"{b.schema_path}\t{b.entity_kind}\t{b.rule_id}\t{b.iri.full}"
+             for b in t.bridges]
+    lines.append("")  # the final newline, without copying the document again
+    return "\n".join(lines)
 
 
 class _PropRecord:
-    __slots__ = ("name", "domains", "domain_set", "ranges", "occurs", "paths", "rule")
+    __slots__ = ("name", "domains", "domain_set", "contributions", "rule")
 
     def __init__(self, name, domain, rng, occurs, path, rule):
         self.name = name
         self.domains = [domain]  # first-seen order; domains[0] qualifies the fragment
-        self.domain_set = {domain}
-        self.ranges = [rng]
-        self.occurs = [occurs]
-        self.paths = [path]  # first entry is the bridge's origin
+        self.domain_set = None  # built when a second distinct domain arrives
+        self.contributions = [(rng, occurs, path)]  # the first path is the bridge's origin
         self.rule = rule
 
     def add(self, domain, rng, occurs, path):
-        if domain not in self.domain_set:
+        if self.domain_set is None:
+            if domain != self.domains[0]:
+                self.domain_set = {self.domains[0], domain}
+                self.domains.append(domain)
+        elif domain not in self.domain_set:
             self.domain_set.add(domain)
             self.domains.append(domain)
-        self.ranges.append(rng)
-        self.occurs.append(occurs)
-        self.paths.append(path)
+        self.contributions.append((rng, occurs, path))
 
 
-def _join_ranges(ranges: list[str]) -> str:
-    out = ranges[0]
-    for r in ranges[1:]:
+def _join_ranges(ranges: Iterable[str]) -> str:
+    ranges = iter(ranges)
+    out = next(ranges)
+    for r in ranges:
         if r == out:
             continue
         if XSD_ANYTYPE in (r, out):
@@ -144,7 +144,7 @@ def _join_ranges(ranges: list[str]) -> str:
     return out
 
 
-def _join_occurs(occurs: list) -> tuple[int, int | None] | None:
+def _join_occurs(occurs: Iterable) -> tuple[int, int | None] | None:
     """Loosest bounds over all contributing particles; None when no
     restriction would ever be emitted."""
     known = [o for o in occurs if o is not None]
@@ -329,22 +329,25 @@ class _Generator:
                 self.schema.source_id,
             )
         obj_records, dt_records = self.collect_properties()
+        del self.graph, self.element_of_type  # read for the last time above
         resolution: dict[str, Iri] = {b.schema_path: b.iri for b in bridges}
 
         object_properties: list[ObjectProperty] = []
         name_counts = Counter(rec.name for rec in obj_records.values())
         for rec in obj_records.values():
             fragment = self.finish_fragment(name_counts, rec)
-            cardinality = _join_occurs(rec.occurs) if self.opts.emit_cardinality else None
+            cardinality = (_join_occurs(occurs for _, occurs, _ in rec.contributions)
+                           if self.opts.emit_cardinality else None)
             prop = ObjectProperty(
                 iri=self.iri(fragment),
                 domain=tuple(sorted(rec.domains, key=lambda i: i.fragment)),
-                range=rec.ranges[0],
+                range=rec.contributions[0][0],
                 cardinality=cardinality,
             )
             object_properties.append(prop)
-            bridges.append(Bridge(rec.paths[0], KIND_OBJECT_PROPERTY, rec.rule, prop.iri))
-            resolution.update((p, prop.iri) for p in rec.paths)
+            bridges.append(Bridge(rec.contributions[0][2], KIND_OBJECT_PROPERTY,
+                                  rec.rule, prop.iri))
+            resolution.update((path, prop.iri) for _, _, path in rec.contributions)
 
         datatype_properties: list[DatatypeProperty] = []
         name_counts = Counter(rec.name for rec in dt_records.values())
@@ -353,11 +356,12 @@ class _Generator:
             prop = DatatypeProperty(
                 iri=self.iri(fragment),
                 domain=tuple(sorted(rec.domains, key=lambda i: i.fragment)),
-                range=_join_ranges(rec.ranges),
+                range=_join_ranges(rng for rng, _, _ in rec.contributions),
             )
             datatype_properties.append(prop)
-            bridges.append(Bridge(rec.paths[0], KIND_DATATYPE_PROPERTY, rec.rule, prop.iri))
-            resolution.update((p, prop.iri) for p in rec.paths)
+            bridges.append(Bridge(rec.contributions[0][2], KIND_DATATYPE_PROPERTY,
+                                  rec.rule, prop.iri))
+            resolution.update((path, prop.iri) for _, _, path in rec.contributions)
 
         model = OntologyModel(
             ontology_iri=self.opts.base_iri,
@@ -372,5 +376,12 @@ class _Generator:
 def generate_tbox(
     schema: SchemaModel, graph: SchemaGraph, opts: GenOptions | None = None
 ) -> tuple[OntologyModel, MappingTrace]:
-    """Apply the mapping rules to a schema and its graph."""
-    return _Generator(schema, graph, opts or GenOptions()).generate()
+    """Apply the mapping rules to a schema and its graph.
+
+    The generator drops its reference to the graph after its last read,
+    once the properties are collected and before the ontology is built, so
+    a caller that keeps no reference of its own lets the graph be freed
+    that early."""
+    generator = _Generator(schema, graph, opts or GenOptions())
+    del graph
+    return generator.generate()

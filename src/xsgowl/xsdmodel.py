@@ -855,7 +855,8 @@ def serialize_schema(model: SchemaModel) -> str:
             lines.append(f"{indent}</xs:attributeGroup>")
         frames.append((inner, closing))
     lines.append("</xs:schema>")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the document again
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -309,4 +309,5 @@ def to_dot(g: SchemaGraph) -> str:
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f"  v{e.src} -> v{e.dst}{suffix};")
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the document again
+    return "\n".join(lines)

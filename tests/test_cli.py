@@ -394,35 +394,39 @@ def test_stage_data_freed_after_last_consumer(tmp_path, data_dir, monkeypatch):
     # With the collector off only reference counts free a stage's data, so
     # whatever a later stage finds alive is still referenced by the pipeline.
     import xsgowl.cli as cli_module
+    import xsgowl.owlgen as owlgen_module
 
     refs: dict[str, weakref.ref] = {}
     dead_at: dict[str, dict[str, bool]] = {}
 
-    def keep(stage, name, pick=lambda result: result):
+    def keep(stage, name, pick=lambda args, result: result):
         real = getattr(cli_module, stage)
 
         def wrapper(*args):
             result = real(*args)
-            refs[name] = weakref.ref(pick(result))
+            refs[name] = weakref.ref(pick(args, result))
             return result
         monkeypatch.setattr(cli_module, stage, wrapper)
 
-    def check(stage, names):
-        real = getattr(cli_module, stage)
+    def check(module, stage, names):
+        real = getattr(module, stage)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             dead_at[stage] = {name: refs[name]() is None for name in names}
-            return real(*args)
-        monkeypatch.setattr(cli_module, stage, wrapper)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, stage, wrapper)
 
     keep("parse_xml", "document")
     keep("infer_schema", "schema")
     keep("build_xsg", "graph")
-    keep("generate_tbox", "trace", pick=lambda tbox_and_trace: tbox_and_trace[1])
+    # not from generate_tbox: a wrapper there would hold the graph, its
+    # argument, until the call returns
+    keep("write_trace", "trace", pick=lambda args, result: args[0])
     every = ["document", "schema", "graph", "trace"]
-    check("populate", ["graph"])
-    check("serialize_turtle", every)
-    check("serialize_rdfxml", every)
+    check(owlgen_module, "OntologyModel", ["graph"])  # the TBox, built once
+    check(cli_module, "populate", ["graph"])
+    check(cli_module, "serialize_turtle", every)
+    check(cli_module, "serialize_rdfxml", every)
 
     was_enabled = gc.isenabled()
     gc.disable()
@@ -435,6 +439,7 @@ def test_stage_data_freed_after_last_consumer(tmp_path, data_dir, monkeypatch):
             gc.enable()
     assert code == EXIT_OK
     assert dead_at == {
+        "OntologyModel": {"graph": True},
         "populate": {"graph": True},
         "serialize_turtle": dict.fromkeys(every, True),
         "serialize_rdfxml": dict.fromkeys(every, True),

@@ -216,6 +216,86 @@ def test_datatype_property_range(schema, name, default, strict):
         assert prop.range == expected, opts
 
 
+# One datatype name (note) and one object property name (hasR) each come
+# from the classes Zed, Zed, Alpha, Mid, Mid, in the generator's order: a
+# type's own contributions arrive together, so a domain repeats both before
+# and after a second distinct one. First-seen order differs from sorted order.
+SHARED_NAME = xsd("""
+  <xs:element name="doc"><xs:complexType><xs:sequence>
+    <xs:element name="z" type="Zed"/><xs:element name="a" type="Alpha"/>
+    <xs:element name="m" type="Mid"/>
+  </xs:sequence></xs:complexType></xs:element>
+  <xs:complexType name="R"/>
+  <xs:complexType name="Zed">
+    <xs:sequence>
+      <xs:element name="note" type="xs:integer"/>
+      <xs:element name="r1" type="R" minOccurs="0"/>
+      <xs:element name="r2" type="R" maxOccurs="2"/>
+    </xs:sequence>
+    <xs:attribute name="note" type="xs:decimal"/>
+  </xs:complexType>
+  <xs:complexType name="Alpha">
+    <xs:sequence>
+      <xs:element name="note" type="xs:integer"/>
+      <xs:element name="r3" type="R" minOccurs="2" maxOccurs="5"/>
+    </xs:sequence>
+  </xs:complexType>
+  <xs:complexType name="Mid">
+    <xs:sequence>
+      <xs:element name="note" type="xs:date"/>
+      <xs:element name="r4" type="R"/>
+      <xs:element name="r5" type="R" minOccurs="3" maxOccurs="7"/>
+    </xs:sequence>
+    <xs:attribute name="note" type="xs:gYear"/>
+  </xs:complexType>""")
+
+
+def shared_path(domain: str, step: str) -> str:
+    return f"/xs:schema/xs:complexType[{domain}]/{step}"
+
+
+# contributions in the generator's order: (domain class, path step)
+SHARED_NOTE = [("Zed", "xs:sequence/xs:element[note]"), ("Zed", "xs:attribute[note]"),
+               ("Alpha", "xs:sequence/xs:element[note]"),
+               ("Mid", "xs:sequence/xs:element[note]"), ("Mid", "xs:attribute[note]")]
+SHARED_HAS_R = [("Zed", f"xs:sequence/xs:element[r{i}]") for i in (1, 2)] + [
+    ("Alpha", "xs:sequence/xs:element[r3]")] + [
+    ("Mid", f"xs:sequence/xs:element[r{i}]") for i in (4, 5)]
+
+
+@pytest.mark.parametrize("union", [True, False], ids=["union", "literal"])
+def test_shared_name_merges_every_contribution(union):
+    opts = GenOptions(base_iri=BASE, union_domains=union, emit_cardinality=True)
+    (onto, trace), _ = tbox_for(SHARED_NAME, opts)
+    dt = {p.iri.fragment: ([d.fragment for d in p.domain], p.range)
+          for p in onto.datatype_properties}
+    obj = {p.iri.fragment: ([d.fragment for d in p.domain], p.cardinality)
+           for p in onto.object_properties if p.range.fragment == "R"}
+    if union:  # one property per name
+        assert dt == {"note": (["Alpha", "Mid", "Zed"], xsd_iri("string"))}
+        assert obj == {"hasR": (["Alpha", "Mid", "Zed"], (0, 7))}
+    else:  # one property per (domain, name), qualified with that domain
+        assert dt == {"Zed.note": (["Zed"], xsd_iri("decimal")),
+                      "Alpha.note": (["Alpha"], xsd_iri("integer")),
+                      "Mid.note": (["Mid"], xsd_iri("string"))}
+        assert obj == {"Zed.hasR": (["Zed"], (0, 2)),
+                       "Alpha.hasR": (["Alpha"], (2, 5)),
+                       "Mid.hasR": (["Mid"], (1, 7))}
+    qualify = "{name}" if union else "{domain}.{name}"
+    contributed = (("note", SHARED_NOTE), ("hasR", SHARED_HAS_R))
+    for name, contributions in contributed:
+        for domain, step in contributions:
+            path = shared_path(domain, step)
+            assert trace.resolution[path].fragment == qualify.format(domain=domain, name=name), path
+    # each property's bridge names its first contribution
+    firsts = [0] if union else [0, 2, 3]
+    origins = {qualify.format(domain=cs[i][0], name=name): shared_path(*cs[i])
+               for name, cs in contributed for i in firsts}
+    bridged = {b.iri.fragment: b.schema_path for b in trace.bridges
+               if b.entity_kind != KIND_CLASS and b.iri.fragment in origins}
+    assert bridged == origins
+
+
 def test_datatype_name_sanitized_once():
     # a final "." is an NCName character but ends no Turtle local name
     (onto, _), _ = tbox_for(two_local(' type="xs:string"', ' type="xs:string"', "v."))
