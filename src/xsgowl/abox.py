@@ -151,7 +151,7 @@ class _Populator:
             data_sink.append((prop_iri, value, self.datatype[prop_iri]))
 
         if content.mixed_types and any(isinstance(c, str) for c in instance.children):
-            prop_iri = self.resolution[f"{self.view.path(content.mixed_types[0])}/text()"]
+            prop_iri = self.resolution[self.view.text_path(content.mixed_types[0])]
             data_assertions.append(
                 (prop_iri, text_content(instance), self.datatype[prop_iri]))
 

@@ -308,7 +308,7 @@ class _Generator:
             if isinstance(comp, ComplexType) and comp.mixed:
                 record(
                     dt_records, "hasTextContent", domain, xsd_iri("string"),
-                    None, f"{self.view.path(comp)}/text()", RULE_DTPROP_MIXED_TEXT,
+                    None, self.view.text_path(comp), RULE_DTPROP_MIXED_TEXT,
                 )
         return obj_records, dt_records
 

@@ -7,6 +7,10 @@ processing instructions and the XML declaration are discarded, as are
 whitespace-only text runs; text inside mixed content is preserved and
 adjacent runs are coalesced.
 
+`parse_xml` keeps the children of every open element in one flat list,
+in document order. An end tag turns its element's slice of that list into
+the element's children and puts the finished element in its place.
+
 Out of scope by design: DTDs (and with them any non-predefined entity),
 CDATA sections, and non-UTF-8 encodings. All are rejected with a
 ParseError rather than silently accepted.
@@ -93,85 +97,6 @@ def _split_name(raw: str, pos: tuple[int, int]) -> XmlName:
     return XmlName(prefix, local)
 
 
-class _Frame:
-    __slots__ = ("name", "attrs", "children", "pos")
-
-    def __init__(self, name, attrs, pos):
-        self.name = name
-        self.attrs = attrs
-        self.children: list[XmlElement | str] = []
-        self.pos = pos
-
-
-class _TreeBuilder:
-    def __init__(self):
-        self.parser = xml.parsers.expat.ParserCreate()
-        self.parser.ordered_attributes = True
-        self.parser.buffer_text = True
-        self.parser.StartElementHandler = self.start
-        self.parser.EndElementHandler = self.end
-        self.parser.CharacterDataHandler = self.text
-        self.parser.XmlDeclHandler = self.decl
-        self.parser.StartDoctypeDeclHandler = self.doctype
-        self.parser.StartCdataSectionHandler = self.cdata
-        self.stack: list[_Frame] = []
-        self.root: XmlElement | None = None
-        # one XmlName per distinct raw name, shared by every use in the parse
-        self.names: dict[str, XmlName] = {}
-
-    def pos(self) -> tuple[int, int]:
-        return (self.parser.CurrentLineNumber, self.parser.CurrentColumnNumber + 1)
-
-    def decl(self, version, encoding, standalone):
-        if encoding is not None and encoding.lower() not in ("utf-8", "ascii", "us-ascii"):
-            raise ParseError(*self.pos(), f"unsupported encoding {encoding!r}")
-
-    def doctype(self, *args):
-        raise ParseError(*self.pos(), "DTDs are not supported")
-
-    def cdata(self):
-        raise ParseError(*self.pos(), "CDATA sections are not supported")
-
-    def intern(self, raw: str, pos: tuple[int, int]) -> XmlName:
-        name = self.names.get(raw)
-        if name is None:
-            name = self.names[raw] = _split_name(raw, pos)
-        return name
-
-    def start(self, raw_name, raw_attrs):
-        parser = self.parser
-        pos = (parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
-        attrs = ()
-        if raw_attrs:
-            intern = self.intern
-            attrs = tuple([(intern(raw, pos), value) for raw, value
-                           in zip(raw_attrs[::2], raw_attrs[1::2])])
-        name = self.names.get(raw_name) or self.intern(raw_name, pos)
-        self.stack.append(_Frame(name, attrs, pos))
-
-    def text(self, data):
-        children = self.stack[-1].children
-        # coalesce a run that outgrew expat's text buffer, which hands it
-        # over in pieces (comments and PIs, having no handler, split none)
-        if children and isinstance(children[-1], str):
-            children[-1] += data
-        else:
-            children.append(data)
-
-    def end(self, raw_name):
-        frame = self.stack.pop()
-        children = frame.children
-        if len(children) == 1 and isinstance(children[0], str):
-            kept = (children[0],) if children[0].strip() else ()  # a text leaf
-        else:
-            kept = tuple([c for c in children if not isinstance(c, str) or c.strip()])
-        element = XmlElement(frame.name, frame.attrs, kept, frame.pos)
-        if self.stack:
-            self.stack[-1].children.append(element)
-        else:
-            self.root = element
-
-
 def parse_xml(data: bytes, source_id: str) -> XmlDocument:
     """Parse UTF-8 XML bytes into a document tree.
 
@@ -179,58 +104,79 @@ def parse_xml(data: bytes, source_id: str) -> XmlDocument:
     attributes, undefined entities, illegal characters, or the rejected
     constructs listed in the module docstring.
     """
-    builder = _TreeBuilder()
-    parser = builder.parser
+    parser = xml.parsers.expat.ParserCreate()
+    parser.ordered_attributes = True
+    parser.buffer_text = True
+    flat: list[XmlElement | str] = []  # the children of every open element
+    # per open element: its name, attributes, position and where in `flat`
+    # its children start
+    opens: list[tuple[XmlName, tuple, tuple[int, int], int]] = []
+    names: dict[str, XmlName] = {}  # one XmlName per distinct raw name
+
+    def position() -> tuple[int, int]:
+        return (parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
+
+    def decl(version, encoding, standalone):
+        if encoding is not None and encoding.lower() not in ("utf-8", "ascii", "us-ascii"):
+            raise ParseError(*position(), f"unsupported encoding {encoding!r}")
+
+    def doctype(*args):
+        raise ParseError(*position(), "DTDs are not supported")
+
+    def cdata():
+        raise ParseError(*position(), "CDATA sections are not supported")
+
+    def intern(raw: str, pos: tuple[int, int]) -> XmlName:
+        name = names.get(raw)
+        if name is None:
+            name = names[raw] = _split_name(raw, pos)
+        return name
+
+    def start(raw_name, raw_attrs):
+        pos = (parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
+        attrs = ()
+        if raw_attrs:
+            attrs = tuple([(intern(raw, pos), value) for raw, value
+                           in zip(raw_attrs[::2], raw_attrs[1::2])])
+        opens.append((names.get(raw_name) or intern(raw_name, pos), attrs, pos, len(flat)))
+
+    def text(data):
+        # coalesce a run that outgrew expat's text buffer, which hands it
+        # over in pieces (comments and PIs, having no handler, split none),
+        # but never with a run outside the open element
+        if len(flat) > opens[-1][3] and isinstance(flat[-1], str):
+            flat[-1] += data
+        else:
+            flat.append(data)
+
+    def end(raw_name):
+        name, attrs, pos, first = opens.pop()
+        if len(flat) - first == 1 and isinstance(flat[-1], str):  # a text leaf
+            run = flat[-1]
+            flat[-1] = XmlElement(name, attrs, (run,) if run.strip() else (), pos)
+        else:
+            kept = tuple([c for c in flat[first:] if not isinstance(c, str) or c.strip()])
+            flat[first:] = (XmlElement(name, attrs, kept, pos),)
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = text
+    parser.XmlDeclHandler = decl
+    parser.StartDoctypeDeclHandler = doctype
+    parser.StartCdataSectionHandler = cdata
     try:
         parser.Parse(data, True)
-    except xml.parsers.expat.ExpatError as exc:
+    except xml.parsers.expat.ExpatError:
         raise ParseError(
             parser.ErrorLineNumber,
             parser.ErrorColumnNumber + 1,
             xml.parsers.expat.errors.messages[parser.ErrorCode],
         ) from None
     finally:
-        # The parser's handlers are bound to the builder, which holds the
-        # parser and the tree. Breaking that cycle frees the builder on
-        # return, so the tree lives exactly as long as the document, not
-        # until the next full garbage collection.
-        builder.parser = None
-    assert builder.root is not None
-    return XmlDocument(builder.root, source_id)
+        # The handlers close over the parser, which holds them. Breaking
+        # that cycle frees the parser and `flat` on return, so the tree
+        # lives exactly as long as the document, not until the next full
+        # garbage collection.
+        parser = None
+    return XmlDocument(flat[0], source_id)
 
-
-def _escape_text(s: str) -> str:
-    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _escape_attr(s: str) -> str:
-    return (
-        s.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
-    )
-
-
-def serialize_xml(doc: XmlDocument) -> str:
-    """Write the tree back as XML text (attribute order preserved), on an
-    explicit stack of open elements, so no depth runs out of frames."""
-    out: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>\n']
-    stack = [(None, iter((doc.root,)))]  # the root's frame writes no tags
-    while stack:
-        parent, children = stack[-1]
-        for child in children:
-            if isinstance(child, str):
-                out.append(_escape_text(child))
-                continue
-            out.append(f"<{child.name}")
-            for name, value in child.attributes:
-                out.append(f' {name}="{_escape_attr(value)}"')
-            if child.children:  # resume `children` after the child's end tag
-                out.append(">")
-                stack.append((child, iter(child.children)))
-                break
-            out.append("/>")
-        else:
-            stack.pop()
-            if parent is not None:
-                out.append(f"</{parent.name}>")
-    out.append("\n")
-    return "".join(out)

@@ -325,6 +325,10 @@ class ResolvedSchema:
         complexContent segment for derived types."""
         return self._bodies[id(ct)]
 
+    def text_path(self, ct: ComplexType) -> str:
+        """Path of a mixed type's text content."""
+        return f"{self._paths[id(ct)]}/text()"
+
     def ref_path(self, ct: ComplexType, decl: GroupDecl | AttrGroupDecl) -> str:
         """Path of ct's own reference to a group or attributeGroup."""
         tag = "group" if isinstance(decl, GroupDecl) else "attributeGroup"
@@ -458,14 +462,11 @@ class _SchemaReader:
     own component when it closes. Readers never call each other, so
     nesting depth costs stack entries, not Python frames."""
 
-    def __init__(self, doc: XmlDocument, source_id: str):
-        self.doc = doc
-        self.source_id = source_id
+    def __init__(self):
         self.xsd_prefixes: set[str] = set()
         self.default_is_xsd = False
 
-    def read(self) -> SchemaModel:
-        root = self.doc.root
+    def read(self, root: XmlElement, source_id: str) -> SchemaModel:
         for name, value in root.attributes:
             if name.prefix == "xmlns" and value == XSD_NS:
                 self.xsd_prefixes.add(name.local)
@@ -478,11 +479,8 @@ class _SchemaReader:
         types: list[ComplexType | SimpleType] = []
         groups: list[GroupDecl] = []
         attr_groups: list[AttrGroupDecl] = []
-        for child in root.child_elements():
-            local = self.expect_xsd(child)
-            if local == "annotation":
-                continue
-            elif local == "element":
+        for local, child in self.xsd_children(root):
+            if local == "element":
                 elements.append(self.build(self.read_element, child, "global"))
             elif local == "complexType":
                 types.append(self.build(self.read_complex_type, child, True))
@@ -496,7 +494,7 @@ class _SchemaReader:
                 raise SchemaError(child.source_position, f"unsupported construct xs:{local}")
         model = SchemaModel(
             tuple(elements), tuple(types), tuple(groups), tuple(attr_groups),
-            source_id=self.source_id,
+            source_id=source_id,
         )
         _check_references(model)
         return model
@@ -525,6 +523,14 @@ class _SchemaReader:
         if not self.is_xsd(el):
             raise SchemaError(el.source_position, f"foreign-namespace element {el.name} in schema")
         return el.name.local
+
+    def xsd_children(self, el: XmlElement):
+        """(local name, child) for each child element but xs:annotation; a
+        foreign element raises when it is reached."""
+        for child in el.child_elements():
+            local = self.expect_xsd(child)
+            if local != "annotation":
+                yield local, child
 
     def attr(self, el: XmlElement, name: str) -> str | None:
         for aname, value in el.attributes:
@@ -570,11 +576,8 @@ class _SchemaReader:
             )
         type_attr = self.attr(el, "type")
         inline: ComplexType | None = None
-        for child in el.child_elements():
-            local = self.expect_xsd(child)
-            if local == "annotation":
-                continue
-            elif local == "complexType":
+        for local, child in self.xsd_children(el):
+            if local == "complexType":
                 if type_attr is not None or inline is not None:
                     raise SchemaError(child.source_position, "element has two types")
                 inline = yield self.read_complex_type, child, False
@@ -592,11 +595,8 @@ class _SchemaReader:
     def read_particles(self, seq: XmlElement):
         particles: list[Particle] = []
         group_refs: list[str] = []
-        for child in seq.child_elements():
-            local = self.expect_xsd(child)
-            if local == "annotation":
-                continue
-            elif local == "element":
+        for local, child in self.xsd_children(seq):
+            if local == "element":
                 min_o, max_o = self.occurs(child)
                 ref = self.attr(child, "ref")
                 if ref is not None:
@@ -676,11 +676,8 @@ class _SchemaReader:
         group_refs: list[str] = []
         attr_group_refs: list[str] = []
         seen_sequence = False
-        for child in body.child_elements():
-            local = self.expect_xsd(child)
-            if local == "annotation":
-                continue
-            elif local == "sequence":
+        for local, child in self.xsd_children(body):
+            if local == "sequence":
                 if seen_sequence:
                     raise SchemaError(child.source_position, "multiple content models in one type")
                 seen_sequence = True
@@ -707,11 +704,8 @@ class _SchemaReader:
     def read_simple_type(self, el: XmlElement) -> SimpleType:
         name = self.required(el, "name", "global simpleType without a name")
         restr = None
-        for child in el.child_elements():
-            local = self.expect_xsd(child)
-            if local == "annotation":
-                continue
-            elif local == "restriction":
+        for local, child in self.xsd_children(el):
+            if local == "restriction":
                 restr = child
             else:
                 raise SchemaError(child.source_position, f"unsupported construct xs:{local}")
@@ -729,11 +723,8 @@ class _SchemaReader:
     def read_group(self, el: XmlElement):
         name = self.required(el, "name", "global group without a name")
         particles: list[Particle] = []
-        for child in el.child_elements():
-            local = self.expect_xsd(child)
-            if local == "annotation":
-                continue
-            elif local == "sequence":
+        for local, child in self.xsd_children(el):
+            if local == "sequence":
                 seq_particles, seq_groups = yield self.read_particles, child
                 if seq_groups:
                     raise SchemaError(
@@ -747,11 +738,8 @@ class _SchemaReader:
     def read_attr_group(self, el: XmlElement) -> AttrGroupDecl:
         name = self.required(el, "name", "global attributeGroup without a name")
         attributes: list[AttrDecl] = []
-        for child in el.child_elements():
-            local = self.expect_xsd(child)
-            if local == "annotation":
-                continue
-            elif local == "attribute":
+        for local, child in self.xsd_children(el):
+            if local == "attribute":
                 attributes.append(self.read_attribute(child))
             else:
                 raise SchemaError(child.source_position, f"unsupported construct xs:{local}")
@@ -761,7 +749,7 @@ class _SchemaReader:
 def read_schema(data: bytes, source_id: str) -> SchemaModel:
     """Parse XSD bytes into a fully resolved SchemaModel."""
     doc = parse_xml(data, source_id)
-    return _SchemaReader(doc, source_id).read()
+    return _SchemaReader().read(doc.root, source_id)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from xsgowl.xmldoc import XmlDocument, XmlElement, XmlName, parse_xml, serialize_xml
+from xsgowl.xmldoc import XmlDocument, XmlElement, XmlName, parse_xml
 from xsgowl.xsdmodel import (
     AttrDecl,
     AttrGroupDecl,
@@ -22,6 +22,7 @@ from xsgowl.xsdmodel import (
     SchemaModel,
     SimpleType,
 )
+from xmlwrite import serialize_xml
 
 ELEMENT_NAMES = ["alpha", "beta", "gamma", "delta", "item", "note", "entry", "data"]
 ATTR_NAMES = ["id", "kind", "n", "ref"]

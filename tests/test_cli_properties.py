@@ -15,9 +15,10 @@ import random
 import pytest
 
 from xsgowl import cli
-from xsgowl.xmldoc import XmlDocument, XmlElement, XmlName, serialize_xml
+from xsgowl.xmldoc import XmlDocument, XmlElement, XmlName
 from randgen import ELEMENT_NAMES, VALUES, random_document
 from triples import parse_rdfxml, parse_turtle
+from xmlwrite import serialize_xml
 
 SEEDS = range(12)
 FLAGS = ["--with-instances", "--format", "both"]

@@ -7,8 +7,8 @@ functions (`outer.inner`) of every module. Its edges are the calls by
 bare name, resolved through the enclosing functions and then the module,
 and the `self.name(...)` calls, resolved within the class. A recursive
 walk breaks on a deep input, where Python's recursion limit runs out, so
-the schema walks, the instance walk and the XML writer use explicit
-stacks instead. No function is exempt.
+the schema walks and the instance walk use explicit stacks instead. No
+function is exempt.
 """
 
 from __future__ import annotations

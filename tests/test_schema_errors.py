@@ -28,7 +28,8 @@ from pathlib import Path
 import pytest
 
 from xsgowl import xsdmodel
-from xsgowl.xmldoc import XmlDocument, XmlElement, XmlName, parse_xml, serialize_xml
+from xsgowl.xmldoc import XmlDocument, XmlElement, XmlName, parse_xml
+from xmlwrite import serialize_xml
 from xsgowl.xsdmodel import SchemaError, read_schema, serialize_schema
 from randgen import random_schema
 from test_violations import edit

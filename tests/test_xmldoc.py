@@ -7,17 +7,25 @@ from xsgowl.xmldoc import (
     ParseError,
     XmlElement,
     parse_xml,
-    serialize_xml,
     text_content,
 )
 from randgen import random_document
+from xmlwrite import serialize_xml
+
+
+def shape(node):
+    """A tree as nested (local name, children) pairs, text runs as they are."""
+    if isinstance(node, str):
+        return node
+    return (node.name.local, tuple(shape(c) for c in node.children))
 
 
 def test_minimal_document():
-    doc = parse_xml(b"<a/>", "t")
-    assert doc.root.name.local == "a"
-    assert doc.root.attributes == ()
-    assert doc.root.children == ()
+    for data in (b"<a/>", b"<a></a>"):
+        doc = parse_xml(data, "t")
+        assert doc.root.name.local == "a"
+        assert doc.root.attributes == ()
+        assert doc.root.children == ()
 
 
 def test_bibliography_root(bibliography_xml):
@@ -35,11 +43,23 @@ def test_mixed_content_ordering():
     kids = doc.root.children
     assert isinstance(kids[0], XmlElement) and kids[0].name.local == "b"
     assert kids[1] == "text"
+    # a text run belongs to the element it is in, never to a neighbour's
+    for data, expected in [
+        (b"<a><b>x</b>y</a>", ("a", (("b", ("x",)), "y"))),
+        (b"<a>x<b/>y</a>", ("a", ("x", ("b", ()), "y"))),
+        (b"<a>x<b>y</b></a>", ("a", ("x", ("b", ("y",))))),
+        (b"<a><b/>x<!--c-->y</a>", ("a", (("b", ()), "xy"))),
+        (b"<a><b><c/>x</b>y<d>z</d></a>",
+         ("a", (("b", (("c", ()), "x")), "y", ("d", ("z",))))),
+    ]:
+        assert shape(parse_xml(data, "t").root) == expected, data
 
 
 def test_whitespace_between_elements_discarded():
     doc = parse_xml(b"<a>\n  <b/>\n  <c/>\n</a>", "t")
     assert [c.name.local for c in doc.root.children] == ["b", "c"]
+    doc = parse_xml(b"<a><b>x</b> \t <c> </c></a>", "t")
+    assert shape(doc.root) == ("a", (("b", ("x",)), ("c", ())))
 
 
 def test_comments_and_pis_discarded_text_coalesced():
@@ -71,6 +91,9 @@ def test_source_positions():
     doc = parse_xml(b"<a>\n  <b/>\n</a>", "t")
     b = doc.root.child_elements()[0]
     assert b.source_position[0] == 2
+    doc = parse_xml(b"<a><b>x</b><c/>\n <d/></a>", "t")
+    assert doc.root.source_position == (1, 1)
+    assert [c.source_position for c in doc.root.children] == [(1, 4), (1, 12), (2, 2)]
 
 
 def test_names_shared_within_a_parse():

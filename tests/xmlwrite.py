@@ -1,0 +1,48 @@
+"""XML text from a document tree, for tests that build their inputs as
+trees.
+
+Tab, newline and carriage return are written raw, so a parser reads them
+back normalized: `tests/randgen.py` relies on an attribute's newline
+coming back as a space.
+"""
+
+from __future__ import annotations
+
+from xsgowl.xmldoc import XmlDocument
+
+
+def _escape_text(s: str) -> str:
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _escape_attr(s: str) -> str:
+    return (
+        s.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
+    )
+
+
+def serialize_xml(doc: XmlDocument) -> str:
+    """Write the tree back as XML text (attribute order preserved), on an
+    explicit stack of open elements, so no depth runs out of frames."""
+    out: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>\n']
+    stack = [(None, iter((doc.root,)))]  # the root's frame writes no tags
+    while stack:
+        parent, children = stack[-1]
+        for child in children:
+            if isinstance(child, str):
+                out.append(_escape_text(child))
+                continue
+            out.append(f"<{child.name}")
+            for name, value in child.attributes:
+                out.append(f' {name}="{_escape_attr(value)}"')
+            if child.children:  # resume `children` after the child's end tag
+                out.append(">")
+                stack.append((child, iter(child.children)))
+                break
+            out.append("/>")
+        else:
+            stack.pop()
+            if parent is not None:
+                out.append(f"</{parent.name}>")
+    out.append("\n")
+    return "".join(out)
