@@ -17,8 +17,10 @@ schema depth or type chain runs into Python's recursion limit. The
 reader keeps its own explicit stack over the XSD's XML elements.
 
 `SchemaModel.resolved` is the one derived view of a model: each
-component's schema path and each complex type's flattened content. The
-validator here, the TBox generator and instance population all read it.
+component's schema path and each complex type's flattened content, with
+that content's occurrence bounds and required names. The validator here,
+the TBox generator and instance population all read it; the validator
+keeps no facts of its own about a type.
 
 `walk_instances` is the one traversal of an instance document, the
 validator's: an explicit stack that checks each element and then yields
@@ -274,10 +276,17 @@ class GroupUse:
 class TypeContent:
     """A complex type's content with its extension chain and group
     references flattened, base members first. Each member carries the
-    GroupUse it came through, or None when a type declares it directly."""
+    GroupUse it came through, or None when a type declares it directly.
+    `bounds` holds each particle name's total (min, max) occurrences, max
+    None when unbounded, in particle order; `required` holds the names
+    whose min is above 0, in the same order, and `required_attributes` the
+    names of the attributes declared use="required"."""
     particles: dict[str, list[tuple[Particle, GroupUse | None]]]
     attributes: dict[str, tuple[AttrDecl, GroupUse | None]]  # first wins
     mixed_types: tuple[ComplexType, ...]  # most-derived first
+    bounds: dict[str, tuple[int, int | None]]
+    required: tuple[str, ...]
+    required_attributes: tuple[str, ...]
 
 
 class ResolvedSchema:
@@ -362,7 +371,20 @@ class ResolvedSchema:
                 use = GroupUse(decl, self.ref_path(t, decl))
                 for a in decl.attributes:
                     attrs.setdefault(a.name, (a, use))
-        return TypeContent(particles, attrs, tuple(t for t in chain if t.mixed))
+        bounds, required, required_attributes = {}, [], []
+        for name, members in particles.items():  # max None when unbounded
+            low = high = 0
+            for p, _ in members:
+                low += p.min_occurs
+                high = None if high is None or p.max_occurs is None else high + p.max_occurs
+            bounds[name] = low, high
+            if low > 0:
+                required.append(name)
+        for name, (a, _) in attrs.items():
+            if a.required:
+                required_attributes.append(name)
+        return TypeContent(particles, attrs, tuple(t for t in chain if t.mixed), bounds,
+                           tuple(required), tuple(required_attributes))
 
 
 # ---------------------------------------------------------------------------
@@ -870,24 +892,11 @@ class ValidationReport:
         return not self.violations
 
 
-def _occurs(members) -> tuple[int, int | None]:
-    """The minimum and maximum total occurrences of one name's members in
-    a type content; the maximum is None when any member is unbounded."""
-    if len(members) == 1:  # the common case, without the sums below
-        p = members[0][0]
-        return p.min_occurs, p.max_occurs
-    return (sum(p.min_occurs for p, _ in members),
-            None if any(p.max_occurs is None for p, _ in members)
-            else sum(p.max_occurs for p, _ in members))
-
-
 class _Validator:
     def __init__(self, model: SchemaModel, violations: list[Violation]):
         self.model = model
         self.view = model.resolved
         self.violations = violations
-        self.required_names: dict[int, tuple[str, ...]] = {}  # `required`
-        self.ranks: dict[int, dict[str, int]] = {}  # particle order, for reports
         # Where the walk is: the root's name, then a name and a same-name
         # sibling ordinal per level. It becomes a path string only when a
         # violation is reported, so a valid document formats none.
@@ -904,18 +913,6 @@ class _Validator:
         if isinstance(ref, NamedTypeRef):
             return self.model.type_named(ref.name)
         return ref
-
-    def required(self, content: TypeContent) -> tuple[str, ...]:
-        """The type content's names whose minimum is above 0, in particle
-        order, found on first use. Held by the validator, not the schema,
-        so they end with the walk."""
-        found = self.required_names.get(id(content))
-        if found is None:
-            found = self.required_names[id(content)] = tuple(
-                name for name, members in content.particles.items()
-                if _occurs(members)[0] > 0
-            )
-        return found
 
     def check_simple_value(self, value: str, t, suffix: str = ""):
         """Check a value against the lexical space of the resolved type `t`:
@@ -967,8 +964,8 @@ class _Validator:
             else:
                 self.check_simple_value(
                     value, self.resolve_type(member[0].datatype), f"/@{name.local}")
-        for name, (decl, _) in attrs.items():
-            if decl.required and instance.attribute(name) is None:
+        for name in content.required_attributes:
+            if instance.attribute(name) is None:
                 self.complain("missing-attribute", f"required attribute {name!r} is missing")
 
         children = instance.child_elements()
@@ -980,24 +977,21 @@ class _Validator:
             name = child.name.local
             counts[name] = counts.get(name, 0) + 1
         # Only required names and names present can be out of bounds, so
-        # the check costs no more than the instance, however many optional
-        # names the type declares. Reports follow particle order.
-        particles = content.particles
-        off = [name for name in self.required(content) if name not in counts]
+        # the check costs no more than the instance and the required names,
+        # however many optional names the type declares. Reports follow
+        # particle order.
+        bounds = content.bounds
+        off = [name for name in content.required if name not in counts]
         for name, n in counts.items():
-            members = particles.get(name)
-            if members is not None:
-                low, high = _occurs(members)
-                if n < low or (high is not None and n > high):
-                    off.append(name)
+            bound = bounds.get(name)
+            if bound is not None and (n < bound[0] or (bound[1] is not None and n > bound[1])):
+                off.append(name)
         if len(off) > 1:
-            rank = self.ranks.get(id(content))
-            if rank is None:
-                rank = self.ranks[id(content)] = {name: i for i, name in enumerate(particles)}
-            off.sort(key=rank.__getitem__)
+            out = set(off)
+            off = [name for name in bounds if name in out]
         for name in off:
             n = counts.get(name, 0)
-            min_total, max_total = _occurs(particles[name])
+            min_total, max_total = bounds[name]
             if n == 0:
                 self.complain("missing-child", f"required child {name!r} is missing")
             elif n < min_total:

@@ -292,7 +292,7 @@ def test_internal_error_exit_4(tmp_path, data_dir, monkeypatch):
     import xsgowl.cli as cli_module
     def boom(_):
         raise RuntimeError("invariant breached")
-    monkeypatch.setattr(cli_module, "serialize_turtle", boom)
+    monkeypatch.setattr(cli_module, "check_dl_profile", boom)
     code = run(["generate", str(data_dir / "bibliography.xml"),
                 "--out-dir", str(tmp_path), "--log-level", "quiet"])
     assert code == 4

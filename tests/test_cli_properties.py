@@ -16,7 +16,7 @@ import pytest
 
 from xsgowl import cli
 from xsgowl.xmldoc import XmlDocument, XmlElement, XmlName
-from randgen import ELEMENT_NAMES, VALUES, random_document
+from randgen import ATTR_VALUES, ELEMENT_NAMES, VALUES, random_document
 from triples import parse_rdfxml, parse_turtle
 from xmlwrite import serialize_xml
 
@@ -58,7 +58,7 @@ def wide(rng):
     distinct = rng.random() < 0.5
     children = [
         element(f"c{i}" if distinct else rng.choice(ELEMENT_NAMES),
-                [("k", rng.choice(VALUES))] if rng.random() < 0.3 else [],
+                [("k", rng.choice(ATTR_VALUES))] if rng.random() < 0.3 else [],
                 [rng.choice(VALUES)])
         for i in range(n)
     ]
@@ -69,7 +69,7 @@ def attribute_only(rng):
     """Elements that carry attributes and no content at all."""
     def attrs():
         names = rng.sample(["id", "k", "n", "ref"], rng.randint(1, 3))
-        return [(a, f"v{rng.randrange(10**6)}" if a == "id" else rng.choice(VALUES))
+        return [(a, f"v{rng.randrange(10**6)}" if a == "id" else rng.choice(ATTR_VALUES))
                 for a in names]
     children = [element(rng.choice(ELEMENT_NAMES), attrs()) for _ in range(rng.randint(0, 8))]
     ids = [v for c in children for n, v in c.attributes if n.local == "id"]
@@ -93,7 +93,7 @@ def namespaced(rng):
 
     def node(depth):
         kids = [node(depth - 1) for _ in range(rng.randint(0, 3))] if depth else []
-        attrs = [("p:x", rng.choice(VALUES))] if rng.random() < 0.3 else []
+        attrs = [("p:x", rng.choice(ATTR_VALUES))] if rng.random() < 0.3 else []
         return element(rng.choice(names), attrs, kids or [rng.choice(VALUES)])
 
     root = node(3)

@@ -18,6 +18,11 @@ def docs(*texts):
     return [parse_xml(t.encode(), f"doc-{i}") for i, t in enumerate(texts)]
 
 
+def test_no_documents_rejected():
+    with pytest.raises(ValueError, match="no input documents"):
+        accumulate_profiles([])
+
+
 def test_bibliography_profiles(bibliography_xml):
     doc = parse_xml(bibliography_xml, "b")
     profiles = accumulate_profiles([doc])

@@ -170,6 +170,46 @@ def test_referential_closure_enforced():
         )
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (dict(classes=(OwlClass(iri("a"), "a", subclass_of=iri("ghost")),)),
+     f"subclass base {BASE}#ghost is not declared"),
+    (dict(object_properties=(ObjectProperty(iri("hasx"), (iri("ghost"),), iri("author")),)),
+     "domain of hasx is not a declared class"),
+    (dict(datatype_properties=(DatatypeProperty(iri("d"), (iri("ghost"),), xsd_iri("string")),)),
+     "domain of d is not a declared class"),
+    (dict(individuals=(Individual(iri("x"), iri("ghost")),)),
+     "individual x has undeclared class"),
+    (dict(individuals=(Individual(iri("x"), iri("author"),
+                                  object_assertions=((iri("ghost"), iri("x")),)),)),
+     "undeclared object property ghost"),
+    (dict(individuals=(Individual(iri("x"), iri("biblioentry"),
+                                  object_assertions=((iri("hasauthor"), iri("ghost")),)),)),
+     "assertion target ghost is not declared"),
+    (dict(individuals=(Individual(iri("x"), iri("author"),
+                                  data_assertions=((iri("ghost"), "1", ""),)),)),
+     "undeclared datatype property ghost"),
+], ids=["subclass-base", "object-property-domain", "datatype-property-domain",
+        "individual-class", "object-property", "assertion-target", "datatype-property"])
+def test_undeclared_reference_rejected(overrides, message):
+    with pytest.raises(ValueError) as caught:
+        small_model(**overrides)
+    assert str(caught.value) == message
+
+
+def test_custom_datatype_written_as_full_iri():
+    # a datatype outside XSD and rdfs:Literal has no prefix to shorten it
+    custom = "http://example.org/types#code"
+    model = small_model(
+        datatype_properties=(DatatypeProperty(iri("code"), (iri("author"),), custom),),
+        individuals=(Individual(iri("x"), iri("author"),
+                                data_assertions=((iri("code"), "A-1", custom),)),),
+    )
+    ttl = serialize_turtle(model)
+    assert f"rdfs:range <{custom}> ." in ttl
+    assert f'"A-1"^^<{custom}>' in ttl
+    assert parse_turtle(ttl) == parse_rdfxml(serialize_rdfxml(model))
+
+
 def test_invalid_literal_rejected():
     with pytest.raises(ValueError, match="lexically"):
         small_model(individuals=(

@@ -189,6 +189,14 @@ def test_round_trip_fixed_point_random():
         assert again == doc, f"seed {seed}"
 
 
+def test_round_trip_whitespace_references():
+    # character references keep tab, newline and carriage return in an
+    # attribute value, and carriage return in text, from being normalized
+    doc = parse_xml(b'<r k="a&#10;b&#13;c&#9;d">x&#13;y</r>', "t")
+    assert doc.root.attribute("k") == "a\nb\rc\td" and doc.root.children == ("x\ry",)
+    assert parse_xml(serialize_xml(doc).encode(), "t") == doc
+
+
 def test_round_trip_deep():
     # compared as text: the dataclass `__eq__` of a deep tree recurses
     depth = 5000

@@ -44,6 +44,12 @@ def _unescape(s: str) -> str:
 
 
 def parse_turtle(text: str) -> set:
+    return set(turtle_statements(text))
+
+
+def turtle_statements(text: str) -> list:
+    """Every triple the Turtle text states, in order, repeats included: a
+    graph is a set, but what a writer wrote twice was asserted twice."""
     tokens = []
     for m in _TOKEN.finditer(text):
         if m.group(1) is not None:
@@ -52,7 +58,7 @@ def parse_turtle(text: str) -> set:
             tokens.append(m.group(0))
 
     prefixes: dict[str, str] = {}
-    triples: set = set()
+    triples: list = []
     pos = 0
 
     def peek():
@@ -111,7 +117,7 @@ def parse_turtle(text: str) -> set:
         while True:
             predicate = resolve(take())
             while True:
-                triples.add((subject, predicate, obj_term()))
+                triples.append((subject, predicate, obj_term()))
                 if peek() == ",":
                     take()
                     continue

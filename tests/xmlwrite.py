@@ -1,9 +1,9 @@
 """XML text from a document tree, for tests that build their inputs as
 trees.
 
-Tab, newline and carriage return are written raw, so a parser reads them
-back normalized: `tests/randgen.py` relies on an attribute's newline
-coming back as a space.
+The text parses back to the same tree: tab, newline and carriage return
+in attribute values, and carriage return in text, are written as
+character references, which a parser does not normalize.
 """
 
 from __future__ import annotations
@@ -12,12 +12,14 @@ from xsgowl.xmldoc import XmlDocument
 
 
 def _escape_text(s: str) -> str:
-    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return (s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace("\r", "&#13;"))
 
 
 def _escape_attr(s: str) -> str:
     return (
         s.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
+        .replace("\t", "&#9;").replace("\n", "&#10;").replace("\r", "&#13;")
     )
 
 
