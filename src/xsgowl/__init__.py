@@ -23,7 +23,7 @@ from .owlmodel import (
     serialize_rdfxml,
     serialize_turtle,
 )
-from .xmldoc import ParseError, XmlDocument, XmlElement, XmlName, parse_xml, text_content
+from .xmldoc import ParseError, XmlDocument, XmlName, parse_xml, text_content
 from .xsdmodel import (
     SchemaError,
     SchemaModel,
@@ -53,7 +53,6 @@ __all__ = [
     "SchemaModel",
     "ValidationReport",
     "XmlDocument",
-    "XmlElement",
     "XmlName",
     "EmptySchema",
     "ElementProfile",

@@ -21,6 +21,7 @@ has<GroupClass> structure of the generated TBox.
 from __future__ import annotations
 
 from dataclasses import replace
+from xml.etree.ElementTree import Element
 
 from .owlgen import MappingTrace
 from .owlmodel import (
@@ -30,7 +31,7 @@ from .owlmodel import (
     OntologyModel,
     sanitize_fragment,
 )
-from .xmldoc import XmlDocument, XmlElement, text_content
+from .xmldoc import XmlDocument, attribute, attributes, text_content
 from .xsdmodel import (
     LEAVE,
     ComplexType,
@@ -54,28 +55,29 @@ class _Populator:
     """Builds individuals from the events of `walk_instances`, on its own
     stack of open individuals: one frame per open complex-typed element."""
 
-    def __init__(self, schema: SchemaModel, tbox: OntologyModel,
+    def __init__(self, doc: XmlDocument, schema: SchemaModel, tbox: OntologyModel,
                  trace: MappingTrace):
+        self.position = doc.position
         self.view = schema.resolved
         self.tbox = tbox
         self.resolution = trace.resolution
         # each datatype property's literal datatype, "" for a plain literal
         self.datatype = {p.iri: "" if p.range == RDFS_LITERAL else p.range
                          for p in tbox.datatype_properties}
-        self.taken: dict[str, tuple[int, int]] = {}
+        self.taken: dict[str, Element] = {}  # the instance that claimed each fragment
         self.collision: NamingCollision | None = None  # the first one seen
         self.out: list[Individual] = []
         # per open element: instance, IRI, its step in the path name,
         # slot in `out`, object and data assertions, and its group holders
         # by GroupUse path
-        self.open: list[tuple[XmlElement, Iri, str, int, list, list, dict]] = []
+        self.open: list[tuple[Element, Iri, str, int, list, list, dict]] = []
 
-    def claim(self, instance: XmlElement, fragment: str) -> Iri:
+    def claim(self, instance: Element, fragment: str) -> Iri:
         if fragment not in self.taken:
-            self.taken[fragment] = instance.source_position
+            self.taken[fragment] = instance
         elif self.collision is None:
-            line, col = self.taken[fragment]
-            here = instance.source_position
+            line, col = self.position(self.taken[fragment])
+            here = self.position(instance)
             self.collision = NamingCollision(
                 f"individual IRI fragment {fragment!r} produced twice: "
                 f"at {line}:{col} and {here[0]}:{here[1]}"
@@ -110,24 +112,24 @@ class _Populator:
                 self.close(ct, content)
             elif member is None:  # the root
                 if content is not None:
-                    self.push(instance, f"{instance.name.local}_{ordinal}")
+                    self.push(instance, f"{instance.tag.local}_{ordinal}")
             else:
                 parent = open_[-1]
-                particle, use = member
+                particle, use, _ = member
                 obj_sink, data_sink = (parent[4], parent[5]) if use is None \
                     else self.holder(parent, use)
                 prop_iri = resolution[path(particle)]
                 if content is None:  # the walk read its text for the check
                     data_sink.append((prop_iri, text, datatype[prop_iri]))
                 else:
-                    iri = self.push(instance, f"{instance.name.local}_{ordinal}")
+                    iri = self.push(instance, f"{instance.tag.local}_{ordinal}")
                     obj_sink.append((prop_iri, iri))
 
-    def push(self, instance: XmlElement, step: str) -> Iri:
+    def push(self, instance: Element, step: str) -> Iri:
         """Claim the instance's individual and open it. Its path name joins
         the open elements' steps and its own; it is built only when used,
         so a deep document named by ids costs no path strings."""
-        id_value = instance.attribute("id")
+        id_value = attribute(instance, "id")
         if id_value is not None:
             fragment = sanitize_fragment(id_value)
         else:
@@ -142,18 +144,16 @@ class _Populator:
         its group holders after its descendants' individuals."""
         frame = self.open.pop()
         instance, iri, _, slot, object_assertions, data_assertions, holders = frame
-        for name, value in instance.attributes:
-            if name.is_ns_decl:
-                continue
-            attr, use = content.attributes[name.local]
+        for name, value in attributes(instance):
+            attr, use = content.attributes[name]
             data_sink = data_assertions if use is None else self.holder(frame, use)[1]
             prop_iri = self.resolution[self.view.path(attr)]
             data_sink.append((prop_iri, value, self.datatype[prop_iri]))
 
-        if content.mixed_types and any(isinstance(c, str) for c in instance.children):
+        text = text_content(instance) if content.mixed_types else ""
+        if text:
             prop_iri = self.resolution[self.view.text_path(content.mixed_types[0])]
-            data_assertions.append(
-                (prop_iri, text_content(instance), self.datatype[prop_iri]))
+            data_assertions.append((prop_iri, text, self.datatype[prop_iri]))
 
         for use, synth_iri, obj, data in holders.values():
             self.out.append(Individual(
@@ -177,7 +177,7 @@ def populate(
     also validates it; raises DocumentInvalid when the document does not
     validate, else NamingCollision when two individuals share an IRI."""
     violations: list[Violation] = []
-    populator = _Populator(schema, tbox, trace)
+    populator = _Populator(doc, schema, tbox, trace)
     populator.build(walk_instances(doc, schema, violations), violations)
     if violations:
         problems = "; ".join(str(v) for v in violations[:3])

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from xml.etree.ElementTree import Element
 
 from .datatypes import STRING, infer_datatype, join_datatype
-from .xmldoc import XmlDocument, XmlElement, text_content
+from .xmldoc import XmlDocument, attributes, text_content
 from .xsdmodel import (
     AttrDecl,
     BuiltinRef,
@@ -73,20 +74,19 @@ class ElementProfile:
     _merge_warned: bool = False
 
 
-def _observe(profile: ElementProfile, e: XmlElement):
+def _observe(profile: ElementProfile, e: Element):
     """Fold one instance into its profile, in one pass over its children: a
     leaf builds no child counts, an element without attributes no set."""
     profile.instances += 1
     counts: dict[str, int] | None = None  # per child name, first-seen order
-    has_text = False
-    for child in e.children:
-        if isinstance(child, str):
-            has_text = True
-        elif counts is None:
-            counts = {child.name.local: 1}
+    for child in e:
+        name = child.tag.local
+        if counts is None:
+            counts = {name: 1}
         else:
-            name = child.name.local
             counts[name] = counts.get(name, 0) + 1
+    value = text_content(e)
+    has_text = value != ""
 
     is_text_leaf = counts is None and has_text
     if not profile._merge_warned and (
@@ -101,7 +101,6 @@ def _observe(profile: ElementProfile, e: XmlElement):
 
     if has_text:
         profile.has_text = True
-        value = text_content(e)
         t = infer_datatype(value)
         profile.text_type = t if profile.text_type is None \
             else join_datatype(profile.text_type, t)
@@ -129,12 +128,10 @@ def _observe(profile: ElementProfile, e: XmlElement):
                 )
                 profile._order_warned = True
 
-    if e.attributes:
+    attrs = attributes(e)
+    if attrs:
         counted: set[str] = set()  # p:id and q:id are one attribute, counted once
-        for name, value in e.attributes:
-            if name.is_ns_decl:
-                continue  # namespace declarations are not data
-            local = name.local
+        for local, value in attrs:
             t = infer_datatype(value)
             profile.attr_type[local] = t if local not in profile.attr_type \
                 else join_datatype(profile.attr_type[local], t)
@@ -148,7 +145,7 @@ def accumulate_profiles(docs: list[XmlDocument]) -> dict[str, ElementProfile]:
     (the shared root name first)."""
     if not docs:
         raise ValueError("no input documents")
-    root_names = {d.root.name.local for d in docs}
+    root_names = {d.root.tag.local for d in docs}
     if len(root_names) > 1:
         raise RootMismatch(
             "documents have different root elements: " + ", ".join(sorted(root_names))
@@ -157,9 +154,10 @@ def accumulate_profiles(docs: list[XmlDocument]) -> dict[str, ElementProfile]:
     profiles: dict[str, ElementProfile] = {}
     for doc in docs:
         for e in doc.iter_elements():
-            profile = profiles.get(e.name.local)
+            name = e.tag.local
+            profile = profiles.get(name)
             if profile is None:
-                profile = profiles[e.name.local] = ElementProfile(e.name.local)
+                profile = profiles[name] = ElementProfile(name)
             _observe(profile, e)
 
     for profile in profiles.values():

@@ -1,15 +1,22 @@
-"""Ordered XML document trees built on the stdlib expat parser.
+"""XML documents read by the stdlib expat parser into ElementTree trees.
 
-Trees keep exactly what downstream inference needs: element names with
-their syntactic prefixes (no namespace-URI resolution), attributes in
-document order, and child elements interleaved with text runs. Comments,
-processing instructions and the XML declaration are discarded, as are
-whitespace-only text runs; text inside mixed content is preserved and
-adjacent runs are coalesced.
+`parse_xml` returns an `XmlDocument` whose `root` is an
+`xml.etree.ElementTree.Element`. Each tag is an `XmlName`: the raw name
+with its syntactic prefix split off (no namespace-URI resolution), one
+object per distinct name in a parse. Attribute keys are the raw names as
+plain strings, in document order, so attribute dicts hold nothing the
+garbage collector tracks. Text is in each element's `text` and each
+child's `tail`; comments, processing instructions and the XML declaration
+are discarded, and a run they or expat's buffer split is one run.
+Consumers read text through `text_content`, where whitespace-only runs
+count as absent, and attributes through `attributes`, by local name and
+without namespace declarations.
 
-`parse_xml` keeps the children of every open element in one flat list,
-in document order. An end tag turns its element's slice of that list into
-the element's children and puts the finished element in its place.
+expat hands end tags and text straight to ElementTree's C tree builder;
+the one Python handler, for start tags, checks names and records each
+tag's (line, column) for `XmlDocument.position`. A hand-built tree with
+XmlName tags, such as `Element(XmlName(None, "r"), {"id": "r1"})`, is a
+document as `XmlDocument(root, source_id)`, at position (0, 0).
 
 Out of scope by design: DTDs (and with them any non-predefined entity),
 CDATA sections, and non-UTF-8 encodings. All are rejected with a
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import xml.parsers.expat
 from dataclasses import dataclass, field
+from xml.etree.ElementTree import Element, TreeBuilder
 
 
 class ParseError(Exception):
@@ -32,85 +40,91 @@ class ParseError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class XmlName:
-    prefix: str | None
-    local: str
-    # an xmlns or xmlns:* attribute name; set once, as every attribute asks
-    is_ns_decl: bool = field(init=False, repr=False, compare=False)
+class XmlName(str):
+    """A raw element name, `prefix:local` or `local`, that is the raw
+    string itself and carries its two parts."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "is_ns_decl", self.prefix == "xmlns" or (
-            self.prefix is None and self.local == "xmlns"))
+    __slots__ = ("prefix", "local")
 
-    def __str__(self) -> str:
-        return self.local if self.prefix is None else f"{self.prefix}:{self.local}"
-
-
-@dataclass(frozen=True)
-class XmlElement:
-    name: XmlName
-    attributes: tuple[tuple[XmlName, str], ...]
-    children: tuple["XmlElement | str", ...]
-    source_position: tuple[int, int] = field(compare=False, default=(0, 0))
-
-    def attribute(self, local: str) -> str | None:
-        """Value of the first attribute with this local name, if any;
-        namespace declarations (xmlns, xmlns:*) are not attributes."""
-        for name, value in self.attributes:
-            if name.local == local and not name.is_ns_decl:
-                return value
-        return None
-
-    def child_elements(self) -> list["XmlElement"]:
-        return [c for c in self.children if isinstance(c, XmlElement)]
+    def __new__(cls, prefix: str | None, local: str):
+        self = super().__new__(cls, local if prefix is None else f"{prefix}:{local}")
+        self.prefix = prefix
+        self.local = local
+        return self
 
 
 @dataclass(frozen=True)
 class XmlDocument:
-    root: XmlElement
+    root: Element
     source_id: str
+    # each parsed element's start tag, packed as line << 32 | column
+    positions: dict[Element, int] = field(default_factory=dict, repr=False, compare=False)
 
     def iter_elements(self):
         """All elements in document (preorder) order."""
-        stack = [self.root]
-        while stack:
-            el = stack.pop()
-            yield el
-            stack.extend(reversed(el.child_elements()))
+        return self.root.iter()
+
+    def position(self, el: Element) -> tuple[int, int]:
+        """(line, column) of the element's start tag; (0, 0) for an element
+        this parse did not make."""
+        packed = self.positions.get(el, 0)
+        return packed >> 32, packed & 0xFFFFFFFF
 
 
-def text_content(e: XmlElement) -> str:
-    """Concatenated direct text runs, trimmed of surrounding whitespace."""
-    children = e.children
-    if len(children) == 1 and isinstance(children[0], str):
-        return children[0].strip()  # a text leaf: one run, nothing to join
-    return "".join([c for c in children if isinstance(c, str)]).strip()
+def text_content(el: Element) -> str:
+    """Concatenated direct text runs but whitespace-only ones, trimmed of
+    surrounding whitespace: empty exactly when the element has no text."""
+    text = el.text
+    if not len(el):  # a text leaf: one run, nothing to join
+        return text.strip() if text else ""
+    runs = [text] if text and not text.isspace() else []
+    for child in el:
+        tail = child.tail
+        if tail and not tail.isspace():
+            runs.append(tail)
+    return "".join(runs).strip()
 
 
-def _split_name(raw: str, pos: tuple[int, int]) -> XmlName:
+def attributes(el: Element) -> list[tuple[str, str]]:
+    """(local name, value) of each attribute in document order; namespace
+    declarations (xmlns, xmlns:*) are not attributes."""
+    items = el.items()
+    for raw, _ in items:
+        if ":" in raw or raw == "xmlns":  # not every raw name is a local name
+            return [(raw[raw.find(":") + 1:], value) for raw, value in items
+                    if raw != "xmlns" and not raw.startswith("xmlns:")]
+    return items
+
+
+def attribute(el: Element, local: str) -> str | None:
+    """Value of the first attribute with this local name, if any."""
+    for name, value in attributes(el):
+        if name == local:
+            return value
+    return None
+
+
+def _split_name(raw: str, line: int, column: int) -> XmlName:
     if ":" not in raw:
         return XmlName(None, raw)
     prefix, local = raw.split(":", 1)
     if not prefix or not local or ":" in local:
-        raise ParseError(pos[0], pos[1], f"illegal name {raw!r}")
+        raise ParseError(line, column, f"illegal name {raw!r}")
     return XmlName(prefix, local)
 
 
 def parse_xml(data: bytes, source_id: str) -> XmlDocument:
-    """Parse UTF-8 XML bytes into a document tree.
+    """Parse UTF-8 XML bytes into a document.
 
     Raises ParseError on anything malformed: unbalanced tags, duplicate
     attributes, undefined entities, illegal characters, or the rejected
     constructs listed in the module docstring.
     """
     parser = xml.parsers.expat.ParserCreate()
-    parser.ordered_attributes = True
     parser.buffer_text = True
-    flat: list[XmlElement | str] = []  # the children of every open element
-    # per open element: its name, attributes, position and where in `flat`
-    # its children start
-    opens: list[tuple[XmlName, tuple, tuple[int, int], int]] = []
+    builder = TreeBuilder()
+    builder_start = builder.start
+    positions: dict[Element, int] = {}
     names: dict[str, XmlName] = {}  # one XmlName per distinct raw name
 
     def position() -> tuple[int, int]:
@@ -126,41 +140,23 @@ def parse_xml(data: bytes, source_id: str) -> XmlDocument:
     def cdata():
         raise ParseError(*position(), "CDATA sections are not supported")
 
-    def intern(raw: str, pos: tuple[int, int]) -> XmlName:
+    def intern(raw: str, line: int, column: int) -> XmlName:
         name = names.get(raw)
         if name is None:
-            name = names[raw] = _split_name(raw, pos)
+            name = names[raw] = _split_name(raw, line, column)
         return name
 
-    def start(raw_name, raw_attrs):
-        pos = (parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
-        attrs = ()
-        if raw_attrs:
-            attrs = tuple([(intern(raw, pos), value) for raw, value
-                           in zip(raw_attrs[::2], raw_attrs[1::2])])
-        opens.append((names.get(raw_name) or intern(raw_name, pos), attrs, pos, len(flat)))
-
-    def text(data):
-        # coalesce a run that outgrew expat's text buffer, which hands it
-        # over in pieces (comments and PIs, having no handler, split none),
-        # but never with a run outside the open element
-        if len(flat) > opens[-1][3] and isinstance(flat[-1], str):
-            flat[-1] += data
-        else:
-            flat.append(data)
-
-    def end(raw_name):
-        name, attrs, pos, first = opens.pop()
-        if len(flat) - first == 1 and isinstance(flat[-1], str):  # a text leaf
-            run = flat[-1]
-            flat[-1] = XmlElement(name, attrs, (run,) if run.strip() else (), pos)
-        else:
-            kept = tuple([c for c in flat[first:] if not isinstance(c, str) or c.strip()])
-            flat[first:] = (XmlElement(name, attrs, kept, pos),)
+    def start(raw_name, raw_attrs):  # expat's attribute dict keeps document order
+        line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
+        for raw in raw_attrs:  # checks each distinct name once
+            if raw not in names:
+                intern(raw, line, column)
+        name = names.get(raw_name) or intern(raw_name, line, column)
+        positions[builder_start(name, raw_attrs)] = line << 32 | column
 
     parser.StartElementHandler = start
-    parser.EndElementHandler = end
-    parser.CharacterDataHandler = text
+    parser.EndElementHandler = builder.end
+    parser.CharacterDataHandler = builder.data
     parser.XmlDeclHandler = decl
     parser.StartDoctypeDeclHandler = doctype
     parser.StartCdataSectionHandler = cdata
@@ -174,9 +170,8 @@ def parse_xml(data: bytes, source_id: str) -> XmlDocument:
         ) from None
     finally:
         # The handlers close over the parser, which holds them. Breaking
-        # that cycle frees the parser and `flat` on return, so the tree
-        # lives exactly as long as the document, not until the next full
-        # garbage collection.
+        # that cycle frees the parser and the builder on return, so the
+        # tree lives exactly as long as the document, not until the next
+        # full garbage collection.
         parser = None
-    return XmlDocument(flat[0], source_id)
-
+    return XmlDocument(builder.close(), source_id, positions)

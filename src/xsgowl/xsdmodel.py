@@ -42,9 +42,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
+from xml.etree.ElementTree import Element
 
 from .datatypes import lexically_valid
-from .xmldoc import XmlDocument, XmlElement, parse_xml, text_content
+from .xmldoc import XmlDocument, attributes, parse_xml, text_content
 
 logger = logging.getLogger("xsgowl.xsd")
 
@@ -276,12 +277,15 @@ class GroupUse:
 class TypeContent:
     """A complex type's content with its extension chain and group
     references flattened, base members first. Each member carries the
-    GroupUse it came through, or None when a type declares it directly.
+    GroupUse it came through, or None when a type declares it directly; a
+    particle member also carries its element's declared type, read off the
+    referenced global element once here rather than per instance.
     `bounds` holds each particle name's total (min, max) occurrences, max
     None when unbounded, in particle order; `required` holds the names
     whose min is above 0, in the same order, and `required_attributes` the
     names of the attributes declared use="required"."""
-    particles: dict[str, list[tuple[Particle, GroupUse | None]]]
+    particles: dict[str, list[tuple[Particle, GroupUse | None,
+                                    BuiltinRef | NamedTypeRef | ComplexType]]]
     attributes: dict[str, tuple[AttrDecl, GroupUse | None]]  # first wins
     mixed_types: tuple[ComplexType, ...]  # most-derived first
     bounds: dict[str, tuple[int, int | None]]
@@ -299,6 +303,7 @@ class ResolvedSchema:
     def __init__(self, model: SchemaModel):
         # The name indexes `_flatten` reads, not the model: the model caches
         # this view, and a reference back would make a cycle.
+        self._elements = model._elements
         self._types = model._types
         self._groups = model._groups
         self._attr_groups = model._attr_groups
@@ -354,16 +359,21 @@ class ResolvedSchema:
         chain = [ct]  # most-derived first; extension adds to its base
         while chain[-1].derivation is not None and chain[-1].derivation[0] == "extension":
             chain.append(self._types.get(chain[-1].derivation[1]))
-        particles: dict[str, list[tuple[Particle, GroupUse | None]]] = {}
+        particles: dict[str, list] = {}
         attrs: dict[str, tuple[AttrDecl, GroupUse | None]] = {}
+
+        def add(p: Particle, use: GroupUse | None):
+            declared = p.decl.type if p.ref is None else self._elements[p.ref].type
+            particles.setdefault(p.name, []).append((p, use, declared))
+
         for t in reversed(chain):
             for p in t.particles:
-                particles.setdefault(p.name, []).append((p, None))
+                add(p, None)
             for g in t.group_refs:
                 decl = self._groups.get(g)
                 use = GroupUse(decl, self.ref_path(t, decl))
                 for p in decl.particles:
-                    particles.setdefault(p.name, []).append((p, use))
+                    add(p, use)
             for a in t.attributes:
                 attrs.setdefault(a.name, (a, None))
             for ag in t.attr_group_refs:
@@ -374,7 +384,7 @@ class ResolvedSchema:
         bounds, required, required_attributes = {}, [], []
         for name, members in particles.items():  # max None when unbounded
             low = high = 0
-            for p, _ in members:
+            for p, _, _ in members:
                 low += p.min_occurs
                 high = None if high is None or p.max_occurs is None else high + p.max_occurs
             bounds[name] = low, high
@@ -484,18 +494,21 @@ class _SchemaReader:
     own component when it closes. Readers never call each other, so
     nesting depth costs stack entries, not Python frames."""
 
-    def __init__(self):
+    def __init__(self, doc: XmlDocument):
+        self.doc = doc
+        self.position = doc.position
         self.xsd_prefixes: set[str] = set()
         self.default_is_xsd = False
 
-    def read(self, root: XmlElement, source_id: str) -> SchemaModel:
-        for name, value in root.attributes:
-            if name.prefix == "xmlns" and value == XSD_NS:
-                self.xsd_prefixes.add(name.local)
-            elif name.prefix is None and name.local == "xmlns" and value == XSD_NS:
+    def read(self) -> SchemaModel:
+        root = self.doc.root
+        for name, value in root.items():
+            if name.startswith("xmlns:") and value == XSD_NS:
+                self.xsd_prefixes.add(name[6:])
+            elif name == "xmlns" and value == XSD_NS:
                 self.default_is_xsd = True
-        if not self.is_xsd(root) or root.name.local != "schema":
-            raise SchemaError(root.source_position, "root element is not an XML Schema")
+        if not self.is_xsd(root) or root.tag.local != "schema":
+            raise SchemaError(self.position(root), "root element is not an XML Schema")
 
         elements: list[ElementDecl] = []
         types: list[ComplexType | SimpleType] = []
@@ -513,10 +526,10 @@ class _SchemaReader:
             elif local == "attributeGroup":
                 attr_groups.append(self.read_attr_group(child))
             else:
-                raise SchemaError(child.source_position, f"unsupported construct xs:{local}")
+                raise SchemaError(self.position(child), f"unsupported construct xs:{local}")
         model = SchemaModel(
             tuple(elements), tuple(types), tuple(groups), tuple(attr_groups),
-            source_id=source_id,
+            source_id=self.doc.source_id,
         )
         _check_references(model)
         return model
@@ -536,34 +549,28 @@ class _SchemaReader:
                 stack.append(request[0](*request[1:]))
                 built = None
 
-    def is_xsd(self, el: XmlElement) -> bool:
-        if el.name.prefix is None:
+    def is_xsd(self, el: Element) -> bool:
+        if el.tag.prefix is None:
             return self.default_is_xsd
-        return el.name.prefix in self.xsd_prefixes
+        return el.tag.prefix in self.xsd_prefixes
 
-    def expect_xsd(self, el: XmlElement) -> str:
+    def expect_xsd(self, el: Element) -> str:
         if not self.is_xsd(el):
-            raise SchemaError(el.source_position, f"foreign-namespace element {el.name} in schema")
-        return el.name.local
+            raise SchemaError(self.position(el), f"foreign-namespace element {el.tag} in schema")
+        return el.tag.local
 
-    def xsd_children(self, el: XmlElement):
+    def xsd_children(self, el: Element):
         """(local name, child) for each child element but xs:annotation; a
         foreign element raises when it is reached."""
-        for child in el.child_elements():
+        for child in el:
             local = self.expect_xsd(child)
             if local != "annotation":
                 yield local, child
 
-    def attr(self, el: XmlElement, name: str) -> str | None:
-        for aname, value in el.attributes:
-            if aname.prefix is None and aname.local == name:
-                return value
-        return None
-
-    def required(self, el: XmlElement, name: str, message: str) -> str:
-        value = self.attr(el, name)
+    def required(self, el: Element, name: str, message: str) -> str:
+        value = el.get(name)
         if value is None:
-            raise SchemaError(el.source_position, message)
+            raise SchemaError(self.position(el), message)
         return value
 
     def type_ref(self, qname: str, position) -> BuiltinRef | NamedTypeRef:
@@ -576,55 +583,55 @@ class _SchemaReader:
             return BuiltinRef(qname)
         return NamedTypeRef(qname)
 
-    def occurs(self, el: XmlElement) -> tuple[int, int | None]:
-        min_s = self.attr(el, "minOccurs")
-        max_s = self.attr(el, "maxOccurs")
+    def occurs(self, el: Element) -> tuple[int, int | None]:
+        min_s = el.get("minOccurs")
+        max_s = el.get("maxOccurs")
         try:
             min_o = 1 if min_s is None else int(min_s)
             max_o = 1 if max_s is None else (None if max_s == "unbounded" else int(max_s))
         except ValueError:
-            raise SchemaError(el.source_position, "bad occurrence value") from None
+            raise SchemaError(self.position(el), "bad occurrence value") from None
         if min_o < 0 or (max_o is not None and max_o < min_o):
-            raise SchemaError(el.source_position, "bad occurrence range")
+            raise SchemaError(self.position(el), "bad occurrence range")
         return min_o, max_o
 
-    def read_element(self, el: XmlElement, scope: str):
+    def read_element(self, el: Element, scope: str):
         name = self.required(el, "name", "element declaration without a name")
         if scope == "global" and (
-            self.attr(el, "minOccurs") is not None or self.attr(el, "maxOccurs") is not None
+            el.get("minOccurs") is not None or el.get("maxOccurs") is not None
         ):
             raise SchemaError(
-                el.source_position, "occurrence facets are not allowed on global elements"
+                self.position(el), "occurrence facets are not allowed on global elements"
             )
-        type_attr = self.attr(el, "type")
+        type_attr = el.get("type")
         inline: ComplexType | None = None
         for local, child in self.xsd_children(el):
             if local == "complexType":
                 if type_attr is not None or inline is not None:
-                    raise SchemaError(child.source_position, "element has two types")
+                    raise SchemaError(self.position(child), "element has two types")
                 inline = yield self.read_complex_type, child, False
             elif local == "simpleType":
                 raise SchemaError(
-                    child.source_position, "unsupported construct: anonymous xs:simpleType"
+                    self.position(child), "unsupported construct: anonymous xs:simpleType"
                 )
             else:
-                raise SchemaError(child.source_position, f"unsupported construct xs:{local}")
+                raise SchemaError(self.position(child), f"unsupported construct xs:{local}")
         etype = inline or BuiltinRef("anyType")
         if type_attr is not None:  # then there is no inline type
-            etype = self.type_ref(type_attr, el.source_position)
-        return ElementDecl(name, etype, position=el.source_position)
+            etype = self.type_ref(type_attr, self.position(el))
+        return ElementDecl(name, etype, position=self.position(el))
 
-    def read_particles(self, seq: XmlElement):
+    def read_particles(self, seq: Element):
         particles: list[Particle] = []
         group_refs: list[str] = []
         for local, child in self.xsd_children(seq):
             if local == "element":
                 min_o, max_o = self.occurs(child)
-                ref = self.attr(child, "ref")
+                ref = child.get("ref")
                 if ref is not None:
-                    if self.attr(child, "name") is not None:
+                    if child.get("name") is not None:
                         raise SchemaError(
-                            child.source_position, "element particle has both ref and name"
+                            self.position(child), "element particle has both ref and name"
                         )
                     particles.append(Particle(ref, None, min_o, max_o))
                 else:
@@ -632,63 +639,60 @@ class _SchemaReader:
                     particles.append(Particle(None, decl, min_o, max_o))
             elif local == "group":
                 ref = self.required(child, "ref", "group particle without ref")
-                if self.attr(child, "minOccurs") or self.attr(child, "maxOccurs"):
+                if child.get("minOccurs") or child.get("maxOccurs"):
                     raise SchemaError(
-                        child.source_position,
+                        self.position(child),
                         "occurrence facets on group references are not supported",
                     )
                 group_refs.append(ref)
             elif local in ("choice", "all", "any", "sequence"):
                 raise SchemaError(
-                    child.source_position,
+                    self.position(child),
                     f"unsupported construct xs:{local} inside xs:sequence",
                 )
             else:
-                raise SchemaError(child.source_position, f"unsupported construct xs:{local}")
+                raise SchemaError(self.position(child), f"unsupported construct xs:{local}")
         return particles, group_refs
 
-    def read_attribute(self, el: XmlElement) -> AttrDecl:
+    def read_attribute(self, el: Element) -> AttrDecl:
         name = self.required(
             el, "name", "attribute references (ref=) are not supported"
         )
-        type_attr = self.attr(el, "type")
+        type_attr = el.get("type")
         datatype = (
             BuiltinRef("string")
             if type_attr is None
-            else self.type_ref(type_attr, el.source_position)
+            else self.type_ref(type_attr, self.position(el))
         )
-        use = self.attr(el, "use") or "optional"
+        use = el.get("use") or "optional"
         if use not in ("optional", "required"):
-            raise SchemaError(el.source_position, f"unsupported attribute use {use!r}")
-        return AttrDecl(name, datatype, use == "required", position=el.source_position)
+            raise SchemaError(self.position(el), f"unsupported attribute use {use!r}")
+        return AttrDecl(name, datatype, use == "required", position=self.position(el))
 
-    def read_complex_type(self, el: XmlElement, named: bool):
-        name = self.attr(el, "name")
+    def read_complex_type(self, el: Element, named: bool):
+        name = el.get("name")
         if named and name is None:
-            raise SchemaError(el.source_position, "global complexType without a name")
+            raise SchemaError(self.position(el), "global complexType without a name")
         if not named and name is not None:
-            raise SchemaError(el.source_position, "local complexType must be anonymous")
-        mixed = (self.attr(el, "mixed") or "false") == "true"
+            raise SchemaError(self.position(el), "local complexType must be anonymous")
+        mixed = (el.get("mixed") or "false") == "true"
 
         derivation: tuple[str, str] | None = None
         body = el
-        kids = [
-            k for k in el.child_elements()
-            if not (self.is_xsd(k) and k.name.local == "annotation")
-        ]
-        if len(kids) == 1 and self.is_xsd(kids[0]) and kids[0].name.local == "complexContent":
-            inner = kids[0].child_elements()
+        kids = [k for k in el if not (self.is_xsd(k) and k.tag.local == "annotation")]
+        if len(kids) == 1 and self.is_xsd(kids[0]) and kids[0].tag.local == "complexContent":
+            inner = list(kids[0])
             if len(inner) != 1:
-                raise SchemaError(kids[0].source_position, "malformed xs:complexContent")
+                raise SchemaError(self.position(kids[0]), "malformed xs:complexContent")
             deriv_el = inner[0]
             kind = self.expect_xsd(deriv_el)
             if kind not in ("extension", "restriction"):
-                raise SchemaError(deriv_el.source_position, f"unsupported construct xs:{kind}")
+                raise SchemaError(self.position(deriv_el), f"unsupported construct xs:{kind}")
             base = self.required(deriv_el, "base", f"xs:{kind} without base")
-            base_ref = self.type_ref(base, deriv_el.source_position)
+            base_ref = self.type_ref(base, self.position(deriv_el))
             if isinstance(base_ref, BuiltinRef):
                 raise SchemaError(
-                    deriv_el.source_position, "complexContent base must be a complex type"
+                    self.position(deriv_el), "complexContent base must be a complex type"
                 )
             derivation = (kind, base_ref.name)
             body = deriv_el
@@ -701,7 +705,7 @@ class _SchemaReader:
         for local, child in self.xsd_children(body):
             if local == "sequence":
                 if seen_sequence:
-                    raise SchemaError(child.source_position, "multiple content models in one type")
+                    raise SchemaError(self.position(child), "multiple content models in one type")
                 seen_sequence = True
                 particles, seq_groups = yield self.read_particles, child
                 group_refs.extend(seq_groups)
@@ -716,33 +720,33 @@ class _SchemaReader:
                 )
                 attr_group_refs.append(ref)
             else:  # xs:choice, xs:all, xs:any, xs:simpleContent, ...
-                raise SchemaError(child.source_position, f"unsupported construct xs:{local}")
+                raise SchemaError(self.position(child), f"unsupported construct xs:{local}")
         return ComplexType(
             name, tuple(particles), tuple(attributes), tuple(group_refs),
             tuple(attr_group_refs), mixed=mixed, derivation=derivation,
-            position=el.source_position,
+            position=self.position(el),
         )
 
-    def read_simple_type(self, el: XmlElement) -> SimpleType:
+    def read_simple_type(self, el: Element) -> SimpleType:
         name = self.required(el, "name", "global simpleType without a name")
         restr = None
         for local, child in self.xsd_children(el):
             if local == "restriction":
                 restr = child
             else:
-                raise SchemaError(child.source_position, f"unsupported construct xs:{local}")
+                raise SchemaError(self.position(child), f"unsupported construct xs:{local}")
         if restr is None:
-            raise SchemaError(el.source_position, "simpleType without xs:restriction")
+            raise SchemaError(self.position(el), "simpleType without xs:restriction")
         base = self.required(restr, "base", "xs:restriction without base")
-        base_ref = self.type_ref(base, restr.source_position)
+        base_ref = self.type_ref(base, self.position(restr))
         if not isinstance(base_ref, BuiltinRef):
             raise SchemaError(
-                restr.source_position, "simpleType restriction base must be built-in"
+                self.position(restr), "simpleType restriction base must be built-in"
             )
         # facets inside the restriction carry no structural information here
-        return SimpleType(name, base_ref.name, position=el.source_position)
+        return SimpleType(name, base_ref.name, position=self.position(el))
 
-    def read_group(self, el: XmlElement):
+    def read_group(self, el: Element):
         name = self.required(el, "name", "global group without a name")
         particles: list[Particle] = []
         for local, child in self.xsd_children(el):
@@ -750,28 +754,27 @@ class _SchemaReader:
                 seq_particles, seq_groups = yield self.read_particles, child
                 if seq_groups:
                     raise SchemaError(
-                        child.source_position, "nested group references are not supported"
+                        self.position(child), "nested group references are not supported"
                     )
                 particles.extend(seq_particles)
             else:
-                raise SchemaError(child.source_position, f"unsupported construct xs:{local}")
-        return GroupDecl(name, tuple(particles), position=el.source_position)
+                raise SchemaError(self.position(child), f"unsupported construct xs:{local}")
+        return GroupDecl(name, tuple(particles), position=self.position(el))
 
-    def read_attr_group(self, el: XmlElement) -> AttrGroupDecl:
+    def read_attr_group(self, el: Element) -> AttrGroupDecl:
         name = self.required(el, "name", "global attributeGroup without a name")
         attributes: list[AttrDecl] = []
         for local, child in self.xsd_children(el):
             if local == "attribute":
                 attributes.append(self.read_attribute(child))
             else:
-                raise SchemaError(child.source_position, f"unsupported construct xs:{local}")
-        return AttrGroupDecl(name, tuple(attributes), position=el.source_position)
+                raise SchemaError(self.position(child), f"unsupported construct xs:{local}")
+        return AttrGroupDecl(name, tuple(attributes), position=self.position(el))
 
 
 def read_schema(data: bytes, source_id: str) -> SchemaModel:
     """Parse XSD bytes into a fully resolved SchemaModel."""
-    doc = parse_xml(data, source_id)
-    return _SchemaReader().read(doc.root, source_id)
+    return _SchemaReader(parse_xml(data, source_id)).read()
 
 
 # ---------------------------------------------------------------------------
@@ -924,57 +927,51 @@ class _Validator:
         if lex is not None and not lexically_valid(value, lex):
             self.complain("datatype", f"value {value!r} is not a valid xs:{lex}", suffix)
 
-    def check(self, instance: XmlElement, type_ref):
+    def check(self, instance: Element, type_ref):
         """Check one element against its declared type, not its children:
         (resolved type, flattened content or None when the type is not
-        complex, the child elements to walk, the element's text or None
-        when the type is complex)."""
+        complex, the element's text or None when the type is complex)."""
         resolved = self.resolve_type(type_ref)
         if isinstance(resolved, BuiltinRef) and resolved.name == "anyType":
-            return resolved, None, (), text_content(instance)
+            return resolved, None, text_content(instance)
         if isinstance(resolved, (BuiltinRef, SimpleType)):
-            for name, _ in instance.attributes:
-                if not name.is_ns_decl:
-                    self.complain(
-                        "undeclared-attribute",
-                        f"attribute {name.local!r} not allowed on simple-typed element",
-                    )
-            children = instance.children
-            if len(children) != 1 or not isinstance(children[0], str):  # not a text leaf
-                for child in children:
-                    if isinstance(child, XmlElement):
-                        self.complain(
-                            "unknown-element",
-                            f"element {child.name.local!r} not allowed inside "
-                            f"simple-typed element",
-                        )
+            for name, _ in attributes(instance):
+                self.complain(
+                    "undeclared-attribute",
+                    f"attribute {name!r} not allowed on simple-typed element",
+                )
+            for child in instance:
+                self.complain(
+                    "unknown-element",
+                    f"element {child.tag.local!r} not allowed inside simple-typed element",
+                )
             text = text_content(instance)
             self.check_simple_value(text, resolved)
-            return resolved, None, (), text
+            return resolved, None, text
 
         content = self.view.content(resolved)
         attrs = content.attributes
 
-        for name, value in instance.attributes:
-            if name.is_ns_decl:
-                continue
-            member = attrs.get(name.local)
+        present = attributes(instance)
+        for name, value in present:
+            member = attrs.get(name)
             if member is None:
-                self.complain("undeclared-attribute", f"undeclared attribute {name.local!r}")
+                self.complain("undeclared-attribute", f"undeclared attribute {name!r}")
             else:
                 self.check_simple_value(
-                    value, self.resolve_type(member[0].datatype), f"/@{name.local}")
-        for name in content.required_attributes:
-            if instance.attribute(name) is None:
-                self.complain("missing-attribute", f"required attribute {name!r} is missing")
+                    value, self.resolve_type(member[0].datatype), f"/@{name}")
+        if content.required_attributes:
+            names = dict(present)
+            for name in content.required_attributes:
+                if name not in names:
+                    self.complain("missing-attribute", f"required attribute {name!r} is missing")
 
-        children = instance.child_elements()
-        if not content.mixed_types and len(children) != len(instance.children):
+        if not content.mixed_types and text_content(instance):
             self.complain("unexpected-text", "text content in non-mixed type")
 
         counts: dict[str, int] = {}
-        for child in children:
-            name = child.name.local
+        for child in instance:
+            name = child.tag.local
             counts[name] = counts.get(name, 0) + 1
         # Only required names and names present can be out of bounds, so
         # the check costs no more than the instance and the required names,
@@ -1002,7 +999,7 @@ class _Validator:
                 self.complain(
                     "occurrence", f"child {name!r} occurs {n} times, maximum is {max_total}",
                 )
-        return resolved, content, children, None
+        return resolved, content, None
 
 
 def walk_instances(doc: XmlDocument, schema: SchemaModel, violations: list[Violation]):
@@ -1010,30 +1007,34 @@ def walk_instances(doc: XmlDocument, schema: SchemaModel, violations: list[Viola
     order on an explicit stack, appending each violation to `violations`
     as it is found. Yields (ENTER, instance, member, type, content, ordinal,
     text) once an element is checked and, for a complex-typed element only,
-    (LEAVE, ...) after its children: the (particle, GroupUse or None)
-    member that admitted it (None for the root), its resolved type, that
-    type's flattened content (None unless the type is complex), its 1-based
-    ordinal among same-name siblings and its trimmed text (None when the
-    type is complex), read once for the check and its consumers. So ENTER
+    (LEAVE, ...) after its children: the (particle, GroupUse or None,
+    declared type) member that admitted it (None for the root), its
+    resolved type, that type's flattened content (None unless the type is
+    complex), its 1-based ordinal among same-name siblings and its trimmed
+    text (None when the type is complex), read once for the check and its
+    consumers. So ENTER
     and LEAVE pair up for complex-typed elements, and a simple-typed one,
     which has nothing to close, yields ENTER alone.
     An element that no declaration admits yields no events."""
     v = _Validator(schema, violations)
     root, trail = doc.root, v.trail
-    trail.append(root.name.local)
-    decl = schema.element(root.name.local)
+    name = root.tag.local
+    trail.append(name)
+    decl = schema.element(name)
     if decl is None:
-        v.complain("unknown-element", f"no global element {root.name.local!r}")
+        v.complain("unknown-element", f"no global element {name!r}")
         return
-    resolved, content, children, text = v.check(root, decl.type)
+    resolved, content, text = v.check(root, decl.type)
     yield ENTER, root, None, resolved, content, 1, text
     # per open element: its event fields, its children left to walk and
-    # the same-name counts of those walked
-    stack = [((root, None, resolved, content, 1, text), iter(children), {})]
+    # the same-name counts of those walked; only a complex-typed element's
+    # children are walked
+    stack = [((root, None, resolved, content, 1, text),
+              iter(root if content is not None else ()), {})]
     while stack:
         fields, children, ordinals = stack[-1]
         for child in children:
-            name = child.name.local
+            name = child.tag.local
             ordinal = ordinals[name] = ordinals.get(name, 0) + 1
             trail += (name, ordinal)
             members = fields[3].particles.get(name)
@@ -1042,13 +1043,12 @@ def walk_instances(doc: XmlDocument, schema: SchemaModel, violations: list[Viola
                 del trail[-2:]
                 continue
             member = members[0]
-            p = member[0]
-            resolved, content, below, text = v.check(
-                child, schema.element(p.ref).type if p.ref is not None else p.decl.type)
+            resolved, content, text = v.check(child, member[2])
             yield ENTER, child, member, resolved, content, ordinal, text
-            if below:  # resume `children` once the child's walk is done
+            if content is not None and len(child):
+                # resume `children` once the child's walk is done
                 stack.append(((child, member, resolved, content, ordinal, text),
-                              iter(below), {}))
+                              iter(child), {}))
                 break
             del trail[-2:]
             if content is not None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from xsgowl.xmldoc import XmlDocument, XmlElement, XmlName, parse_xml
+from xsgowl.xmldoc import XmlDocument, parse_xml
 from xsgowl.xsdmodel import (
     AttrDecl,
     AttrGroupDecl,
@@ -22,6 +22,7 @@ from xsgowl.xsdmodel import (
     SchemaModel,
     SimpleType,
 )
+from treeparse import TreeDocument, TreeElement, TreeName, parse_tree
 from xmlwrite import serialize_xml
 
 ELEMENT_NAMES = ["alpha", "beta", "gamma", "delta", "item", "note", "entry", "data"]
@@ -35,11 +36,11 @@ VALUES = [
 ATTR_VALUES = [v.replace("\n", " ") for v in VALUES]
 
 
-def random_element(rng: random.Random, depth: int) -> XmlElement:
-    name = XmlName(None, rng.choice(ELEMENT_NAMES))
+def random_element(rng: random.Random, depth: int) -> TreeElement:
+    name = TreeName(None, rng.choice(ELEMENT_NAMES))
     attrs = []
     for attr in rng.sample(ATTR_NAMES, rng.randint(0, 2)):
-        attrs.append((XmlName(None, attr), rng.choice(ATTR_VALUES)))
+        attrs.append((TreeName(None, attr), rng.choice(ATTR_VALUES)))
     children: list = []
     n_children = 0 if depth == 0 else rng.randint(0, 3)
     for _ in range(n_children):
@@ -51,15 +52,23 @@ def random_element(rng: random.Random, depth: int) -> XmlElement:
         children.append(rng.choice(VALUES))
     elif children and rng.random() < 0.15:  # mixed content
         children.insert(rng.randint(0, len(children)), rng.choice([v for v in VALUES if v.strip()]))
-    return XmlElement(name, tuple(attrs), tuple(children))
+    return TreeElement(name, tuple(attrs), tuple(children))
+
+
+def random_text(seed: int) -> bytes:
+    rng = random.Random(seed)
+    root = random_element(rng, depth=rng.randint(1, 3))
+    return serialize_xml(TreeDocument(root, f"random-{seed}")).encode()
 
 
 def random_document(seed: int) -> XmlDocument:
-    rng = random.Random(seed)
-    root = random_element(rng, depth=rng.randint(1, 3))
-    text = serialize_xml(XmlDocument(root, f"random-{seed}"))
-    # round through the parser so whitespace runs are normalized
-    return parse_xml(text.encode(), f"random-{seed}")
+    return parse_xml(random_text(seed), f"random-{seed}")
+
+
+def random_tree(seed: int) -> TreeDocument:
+    """`random_document(seed)` as a tree of TreeElements, which tests edit;
+    read by the oracle parser, so whitespace runs are normalized."""
+    return parse_tree(random_text(seed), f"random-{seed}")
 
 
 LATTICE = ["boolean", "integer", "decimal", "NCName", "string"]

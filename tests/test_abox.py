@@ -3,10 +3,12 @@ import pytest
 from xsgowl.abox import NamingCollision, populate
 from xsgowl.owlgen import GenOptions, generate_tbox
 from xsgowl.owlmodel import xsd_iri
-from xsgowl.xmldoc import XmlDocument, XmlElement, parse_xml
+from xsgowl.xmldoc import parse_xml
 from xsgowl.xsdmodel import read_schema, validate
 from xsgowl.xsg import build_xsg
-from randgen import random_document
+from randgen import random_tree
+from treeparse import TreeDocument, TreeElement
+from xmlwrite import serialize_xml
 
 BASE = "http://example.org/onto/bibliography"
 
@@ -115,10 +117,10 @@ def test_naming_collision(pipeline):
         populate(doc, schema, tbox, trace)
 
 
-def without_ids(el: XmlElement) -> XmlElement:
+def without_ids(el: TreeElement) -> TreeElement:
     """A copy of the tree with no `id` attribute, so that every individual
     is named by its path."""
-    return XmlElement(
+    return TreeElement(
         el.name,
         tuple((n, v) for n, v in el.attributes if n.local != "id"),
         tuple(c if isinstance(c, str) else without_ids(c) for c in el.children),
@@ -132,7 +134,8 @@ def test_path_ordinals_unique_and_count_law_random(pipeline):
     from xsgowl.xsdmodel import BuiltinRef
 
     for seed in range(30):
-        doc = XmlDocument(without_ids(random_document(seed).root), f"random-{seed}")
+        tree = TreeDocument(without_ids(random_tree(seed).root), f"random-{seed}")
+        doc = parse_xml(serialize_xml(tree).encode(), tree.source_id)
         schema = infer_schema([doc])
         tbox, trace = generate_tbox(schema, build_xsg(schema), GenOptions(base_iri=BASE))
         onto = populate(doc, schema, tbox, trace)
@@ -143,7 +146,7 @@ def test_path_ordinals_unique_and_count_law_random(pipeline):
             if not isinstance(e.type, BuiltinRef)
         }
         expected = sum(
-            1 for el in doc.iter_elements() if el.name.local in class_elements
+            1 for el in doc.iter_elements() if el.tag.local in class_elements
         )
         assert len(onto.individuals) == expected, f"seed {seed}"
 

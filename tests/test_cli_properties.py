@@ -15,8 +15,8 @@ import random
 import pytest
 
 from xsgowl import cli
-from xsgowl.xmldoc import XmlDocument, XmlElement, XmlName
-from randgen import ATTR_VALUES, ELEMENT_NAMES, VALUES, random_document
+from randgen import ATTR_VALUES, ELEMENT_NAMES, VALUES, random_tree
+from treeparse import TreeDocument, TreeElement, TreeName
 from triples import parse_rdfxml, parse_turtle
 from xmlwrite import serialize_xml
 
@@ -25,17 +25,17 @@ FLAGS = ["--with-instances", "--format", "both"]
 XS = '<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">'
 
 
-def qname(name: str) -> XmlName:
+def qname(name: str) -> TreeName:
     prefix, _, local = name.rpartition(":")
-    return XmlName(prefix or None, local)
+    return TreeName(prefix or None, local)
 
 
-def element(name: str, attrs=(), children=()) -> XmlElement:
-    return XmlElement(qname(name), tuple((qname(n), v) for n, v in attrs), tuple(children))
+def element(name: str, attrs=(), children=()) -> TreeElement:
+    return TreeElement(qname(name), tuple((qname(n), v) for n, v in attrs), tuple(children))
 
 
-def xml(root: XmlElement) -> str:
-    return serialize_xml(XmlDocument(root, "t"))
+def xml(root: TreeElement) -> str:
+    return serialize_xml(TreeDocument(root, "t"))
 
 
 # Each shape: rng -> (suffix, text, expected exit code).
@@ -153,7 +153,7 @@ def duplicate_ids(rng):
 
 def malformed(rng):
     """A well-formed document cut short."""
-    text = xml(random_document(rng.randrange(1000)).root)
+    text = xml(random_tree(rng.randrange(1000)).root)
     return ".xml", text[:rng.randint(1, len(text) - 3)], 2
 
 
@@ -182,7 +182,7 @@ def test_generate_exits_with_documented_code(tmp_path, capsys, shape):
     assert [(seed, code) for seed, expected, code in codes if code != expected] == []
 
 
-def first_ids_only(el: XmlElement, seen: set[str]) -> XmlElement:
+def first_ids_only(el: TreeElement, seen: set[str]) -> TreeElement:
     """A copy of the tree in which an `id` value already used in document
     order is dropped, so the individuals' IRIs stay distinct."""
     attrs = []
@@ -193,7 +193,7 @@ def first_ids_only(el: XmlElement, seen: set[str]) -> XmlElement:
             seen.add(value)
         attrs.append((name, value))
     children = [c if isinstance(c, str) else first_ids_only(c, seen) for c in el.children]
-    return XmlElement(el.name, tuple(attrs), tuple(children))
+    return TreeElement(el.name, tuple(attrs), tuple(children))
 
 
 HAND_WRITTEN = [
@@ -207,7 +207,7 @@ HAND_WRITTEN = [
 
 
 def test_populated_random_documents_agree_across_syntaxes(tmp_path, capsys):
-    texts = [xml(first_ids_only(random_document(seed).root, set()))
+    texts = [xml(first_ids_only(random_tree(seed).root, set()))
              for seed in range(40)] + HAND_WRITTEN
     for n, text in enumerate(texts):
         path = tmp_path / f"r{n}.xml"

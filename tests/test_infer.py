@@ -158,7 +158,7 @@ def test_soundness_multi_document_merge():
     pool = [random_document(s) for s in range(30)]
     by_root = {}
     for d in pool:
-        by_root.setdefault(d.root.name.local, []).append(d)
+        by_root.setdefault(d.root.tag.local, []).append(d)
     checked = 0
     for group in by_root.values():
         if len(group) < 2:
@@ -184,7 +184,7 @@ def test_monotonicity_random():
     pool = [random_document(s) for s in range(40)]
     by_root: dict = {}
     for d in pool:
-        by_root.setdefault(d.root.name.local, []).append(d)
+        by_root.setdefault(d.root.tag.local, []).append(d)
     for group in by_root.values():
         if len(group) < 2:
             continue

@@ -30,8 +30,7 @@ from collections import Counter
 import pytest
 
 from xsgowl import cli
-from xsgowl.xmldoc import parse_xml, text_content
-from randgen import random_document
+from randgen import random_tree
 from test_cli_properties import (
     SEEDS,
     attribute_only,
@@ -41,6 +40,7 @@ from test_cli_properties import (
     sanitized_names,
     xml,
 )
+from treeparse import parse_tree, tree_text
 from triples import RDF, OWL, turtle_statements
 
 RANDOM_SEEDS = range(300)
@@ -64,12 +64,12 @@ def expected_abox(doc, trace: dict[str, str]):
             if not name.is_ns_decl:
                 data[trace[f"{body}/xs:attribute[{name.local}]"], owner, value] += 1
         if any(isinstance(c, str) for c in el.children):
-            data[trace[f"{body}/text()"], owner, text_content(el)] += 1
+            data[trace[f"{body}/text()"], owner, tree_text(el)] += 1
         for child in el.child_elements():
             prop = trace[f"{body}/xs:sequence/xs:element[{child.name.local}]"]
             child_class = class_of(child.name.local)
             if child_class is None:
-                data[prop, owner, text_content(child)] += 1
+                data[prop, owner, tree_text(child)] += 1
             else:
                 objects[prop, owner, child_class] += 1
     return classes, data, objects
@@ -107,7 +107,7 @@ def check_abox(text: str, out_dir, stem: str):
     for line in (out_dir / f"{stem}.trace.tsv").read_text(encoding="utf-8").splitlines():
         schema_path, _, _, iri = line.split("\t")
         trace[schema_path] = iri
-    doc = parse_xml(text.encode("utf-8"), stem)
+    doc = parse_tree(text.encode("utf-8"), stem)
     want = expected_abox(doc, trace)
     got = written_abox((out_dir / f"{stem}.ttl").read_text(encoding="utf-8"))
     for what, w, g in zip(("individual classes", "data assertions", "object assertions"),
@@ -117,7 +117,7 @@ def check_abox(text: str, out_dir, stem: str):
 
 def test_random_documents_match_their_abox(tmp_path, capsys):
     for seed in RANDOM_SEEDS:
-        text = xml(first_ids_only(random_document(seed).root, set()))
+        text = xml(first_ids_only(random_tree(seed).root, set()))
         check_abox(text, tmp_path, f"random{seed}")
     capsys.readouterr()
 

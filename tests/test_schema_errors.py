@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from xsgowl import xsdmodel
-from xsgowl.xmldoc import XmlDocument, XmlElement, XmlName, parse_xml
+from treeparse import TreeDocument, TreeElement, TreeName, parse_tree
 from xmlwrite import serialize_xml
 from xsgowl.xsdmodel import SchemaError, read_schema, serialize_schema
 from randgen import random_schema
@@ -57,7 +57,7 @@ def digest(error) -> str:
 # mutations of random schemas
 
 
-def elements(root: XmlElement):
+def elements(root: TreeElement):
     """(index path, element, parent) for every element, in document order."""
     stack = [((), root, None)]
     while stack:
@@ -65,30 +65,30 @@ def elements(root: XmlElement):
         yield where, el, parent
         stack.extend(reversed([
             ((*where, i), c, el) for i, c in enumerate(el.children)
-            if isinstance(c, XmlElement)
+            if isinstance(c, TreeElement)
         ]))
 
 
-def xs(local: str, **attrs: str) -> XmlElement:
-    return XmlElement(XmlName("xs", local),
-                      tuple((XmlName(None, k), v) for k, v in attrs.items()), ())
+def xs(local: str, **attrs: str) -> TreeElement:
+    return TreeElement(TreeName("xs", local),
+                       tuple((TreeName(None, k), v) for k, v in attrs.items()), ())
 
 
-def put(el: XmlElement, name: str, value: str) -> XmlElement:
+def put(el: TreeElement, name: str, value: str) -> TreeElement:
     kept = tuple((k, v) for k, v in el.attributes if k.local != name)
-    return replace(el, attributes=kept + ((XmlName(None, name), value),))
+    return replace(el, attributes=kept + ((TreeName(None, name), value),))
 
 
-def drop(el: XmlElement, name: str) -> XmlElement:
+def drop(el: TreeElement, name: str) -> TreeElement:
     return replace(el, attributes=tuple((k, v) for k, v in el.attributes
                                         if k.local != name))
 
 
-def add(el: XmlElement, child: XmlElement) -> XmlElement:
+def add(el: TreeElement, child: TreeElement) -> TreeElement:
     return replace(el, children=el.children + (child,))
 
 
-def kids(el: XmlElement) -> list[XmlElement]:
+def kids(el: TreeElement) -> list[TreeElement]:
     return el.child_elements()
 
 
@@ -108,14 +108,14 @@ def derivation(e, p) -> bool:
     return is_(e, "extension", "restriction") and is_(p, "complexContent")
 
 
-def own_base(ct: XmlElement) -> XmlElement:
+def own_base(ct: TreeElement) -> TreeElement:
     """A named complexType deriving from itself."""
     content = kids(ct)[0]
     step = put(kids(content)[0], "base", ct.attribute("name"))
     return replace(ct, children=(replace(content, children=(step,)),))
 
 
-def duplicate(schema: XmlElement) -> XmlElement:
+def duplicate(schema: TreeElement) -> TreeElement:
     named = [c for c in kids(schema) if has(c, "name")]
     return add(schema, named[len(named) // 2])
 
@@ -133,7 +133,7 @@ MUTATIONS = {
     "two-types": (lambda e, p: is_(e, "element") and any(is_(k, "complexType") for k in kids(e)),
                   lambda e: put(e, "type", "xs:string")),
     "foreign-child": (lambda e, p: True,
-                      lambda e: add(e, XmlElement(XmlName(None, "foo"), (), ()))),
+                      lambda e: add(e, TreeElement(TreeName(None, "foo"), (), ()))),
     "unsupported-child": (lambda e, p: True, lambda e: add(e, xs("notation"))),
     "choice-in-sequence": (lambda e, p: is_(e, "sequence"), lambda e: add(e, xs("choice"))),
     "second-content-model": (lambda e, p: is_(e, "complexType") or derivation(e, p),
@@ -149,7 +149,7 @@ MUTATIONS = {
                          lambda e: put(e, "name", "x")),
     "unnamed-global": (lambda e, p: is_(p, "schema") and has(e, "name"),
                        lambda e: drop(e, "name")),
-    "derivation-kind": (derivation, lambda e: replace(e, name=XmlName("xs", "list"))),
+    "derivation-kind": (derivation, lambda e: replace(e, name=TreeName("xs", "list"))),
     "derivation-builtin-base": (derivation, lambda e: put(e, "base", "xs:string")),
     "derivation-simple-base": (derivation, lambda e: put(e, "base", "st0")),
     "circular-derivation": (lambda e, p: is_(e, "complexType") and has(e, "name")
@@ -172,7 +172,7 @@ def mutated_errors():
     for seed in SEEDS:
         text = serialize_schema(random_schema(seed))
         assert first_error(text) is None, f"seed {seed}"
-        doc = parse_xml(text.encode(), f"random-schema-{seed}")
+        doc = parse_tree(text.encode(), f"random-schema-{seed}")
         found = list(elements(doc.root))
         for label, (site, change) in MUTATIONS.items():
             sites = [where for where, e, p in found if site(e, p)]
@@ -181,7 +181,7 @@ def mutated_errors():
                 continue
             where = random.Random(f"{seed}/{label}").choice(sites)
             root = edit(doc.root, where, change)
-            errors[f"{seed}/{label}"] = first_error(serialize_xml(XmlDocument(root, "t")))
+            errors[f"{seed}/{label}"] = first_error(serialize_xml(TreeDocument(root, "t")))
     return errors
 
 

@@ -23,15 +23,17 @@ from pathlib import Path
 import pytest
 
 from xsgowl.infer import infer_schema
-from xsgowl.xmldoc import XmlElement, XmlName
+from xsgowl.xmldoc import parse_xml
 from xsgowl.xsdmodel import BuiltinRef, ComplexType, validate
-from randgen import random_document
+from randgen import random_document, random_tree
+from treeparse import TreeDocument, TreeElement, TreeName
+from xmlwrite import serialize_xml
 
 DIGESTS = Path(__file__).parent / "data" / "violation_digests.json"
 SEEDS = range(100)
 
 
-def walk(root: XmlElement):
+def walk(root: TreeElement):
     """(index path, element, same-name sibling ordinal) in preorder."""
     stack = [((), root, 1)]
     while stack:
@@ -40,13 +42,13 @@ def walk(root: XmlElement):
         seen: dict[str, int] = {}
         found = []
         for i, c in enumerate(el.children):
-            if isinstance(c, XmlElement):
+            if isinstance(c, TreeElement):
                 seen[c.name.local] = seen.get(c.name.local, 0) + 1
                 found.append((where + (i,), c, seen[c.name.local]))
         stack.extend(reversed(found))
 
 
-def edit(el: XmlElement, where: tuple[int, ...], change) -> XmlElement:
+def edit(el: TreeElement, where: tuple[int, ...], change) -> TreeElement:
     """A copy of the tree with the element at `where` replaced by
     change(element)."""
     if not where:
@@ -56,18 +58,21 @@ def edit(el: XmlElement, where: tuple[int, ...], change) -> XmlElement:
     return replace(el, children=tuple(children))
 
 
-def type_of(schema, el: XmlElement):
+def type_of(schema, el: TreeElement):
     decl = schema.element(el.name.local)
     return None if decl is None else decl.type  # None: an added `extra`
 
 
-def particles(schema, el: XmlElement):
+def particles(schema, el: TreeElement):
     t = type_of(schema, el)
     return t.particles if isinstance(t, ComplexType) else ()
 
 
 def add_attribute(el):
-    return replace(el, attributes=el.attributes + ((XmlName(None, "zz"), "1"),))
+    # A second `zz` on one element (the "all" case) takes a prefix, so the
+    # text stays well-formed; the validator names both by the local name.
+    name = TreeName(None if el.attribute("zz") is None else "q", "zz")
+    return replace(el, attributes=el.attributes + ((name, "1"),))
 
 
 # Each mutation: (expected kind, sites(schema, root) -> [(where, change)]).
@@ -77,14 +82,14 @@ def drop_required(schema, root):
     return [
         (where, lambda el, n=p.ref: replace(el, children=tuple(
             c for c in el.children
-            if not (isinstance(c, XmlElement) and c.name.local == n))))
+            if not (isinstance(c, TreeElement) and c.name.local == n))))
         for where, el, _ in walk(root)
         for p in particles(schema, el) if p.min_occurs >= 1
     ]
 
 
 def extra_unknown_child(schema, root):
-    extra = XmlElement(XmlName(None, "extra"), (), ())
+    extra = TreeElement(TreeName(None, "extra"), (), ())
     return [(where, lambda el: replace(el, children=el.children + (extra,)))
             for where, _, _ in walk(root)]
 
@@ -94,7 +99,7 @@ def extra_repeated_child(schema, root):
     for where, el, _ in walk(root):
         single = {p.ref for p in particles(schema, el) if p.max_occurs == 1}
         for c in el.children:
-            if isinstance(c, XmlElement) and c.name.local in single:
+            if isinstance(c, TreeElement) and c.name.local in single:
                 sites.append((where, lambda el, c=c: replace(
                     el, children=el.children + (c,))))
     return sites
@@ -140,6 +145,11 @@ MUTATIONS = {
 }
 
 
+def reparsed(root: TreeElement, source_id: str):
+    """The edited tree as a document, read back from its text."""
+    return parse_xml(serialize_xml(TreeDocument(root, source_id)).encode(), source_id)
+
+
 def mutated_reports():
     """{"seed/mutation": [(kind, path, message), ...] or None}; "seed/all"
     applies every mutation that has a site, one after another."""
@@ -148,16 +158,16 @@ def mutated_reports():
         doc = random_document(seed)
         schema = infer_schema([doc])
         assert validate(doc, schema).ok, f"seed {seed}"
+        tree = random_tree(seed).root
         rng = random.Random(seed)
-        combined = doc.root
+        combined = tree
         for label, (_, sites) in MUTATIONS.items():
-            found = sites(schema, doc.root)
+            found = sites(schema, tree)
             if not found:
                 reports[f"{seed}/{label}"] = None
                 continue
             where, change = rng.choice(found)
-            root = edit(doc.root, where, change)
-            report = validate(replace(doc, root=root), schema)
+            report = validate(reparsed(edit(tree, where, change), doc.source_id), schema)
             reports[f"{seed}/{label}"] = [
                 (v.kind, v.path, v.message) for v in report.violations
             ]
@@ -165,7 +175,7 @@ def mutated_reports():
             if again:
                 where, change = rng.choice(again)
                 combined = edit(combined, where, change)
-        report = validate(replace(doc, root=combined), schema)
+        report = validate(reparsed(combined, doc.source_id), schema)
         reports[f"{seed}/all"] = [(v.kind, v.path, v.message) for v in report.violations]
     return reports
 

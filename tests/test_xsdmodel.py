@@ -400,7 +400,7 @@ WALK_SCHEMA = b"""<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
 
 def walk_events(xml: bytes) -> list[tuple[str, str]]:
     violations = []
-    events = [(event, instance.name.local) for event, instance, *_ in walk_instances(
+    events = [(event, instance.tag.local) for event, instance, *_ in walk_instances(
         parse_xml(xml, "d"), read_schema(WALK_SCHEMA, "t"), violations)]
     assert violations == []
     return events

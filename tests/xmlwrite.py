@@ -8,7 +8,7 @@ character references, which a parser does not normalize.
 
 from __future__ import annotations
 
-from xsgowl.xmldoc import XmlDocument
+from treeparse import TreeDocument
 
 
 def _escape_text(s: str) -> str:
@@ -23,7 +23,7 @@ def _escape_attr(s: str) -> str:
     )
 
 
-def serialize_xml(doc: XmlDocument) -> str:
+def serialize_xml(doc: TreeDocument) -> str:
     """Write the tree back as XML text (attribute order preserved), on an
     explicit stack of open elements, so no depth runs out of frames."""
     out: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>\n']
