@@ -49,7 +49,7 @@ class RootMismatch(Exception):
     """Input documents do not share one root element name."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ElementProfile:
     """Accumulated facts about one element name."""
 
@@ -74,7 +74,7 @@ class ElementProfile:
     _merge_warned: bool = False
 
 
-def _observe(profile: ElementProfile, e: Element):
+def _observe(profile: ElementProfile, e: Element, source_id: str):
     """Fold one instance into its profile, in one pass over its children: a
     leaf builds no child counts, an element without attributes no set."""
     profile.instances += 1
@@ -94,8 +94,8 @@ def _observe(profile: ElementProfile, e: Element):
         or (is_text_leaf and profile.has_element_children)
     ):
         logger.warning(
-            "element %r is both structured and a text leaf; merging into "
-            "a mixed complex profile", profile.name,
+            "%s: element %r is both structured and a text leaf; merging "
+            "into a mixed complex profile", source_id, profile.name,
         )
         profile._merge_warned = True
 
@@ -123,8 +123,8 @@ def _observe(profile: ElementProfile, e: Element):
             ranks = [profile._child_rank[n] for n in counts]
             if any(a > b for a, b in zip(ranks, ranks[1:])):
                 logger.warning(
-                    "children of %r appear in conflicting orders; keeping "
-                    "first-seen order", profile.name,
+                    "%s: children of %r appear in conflicting orders; keeping "
+                    "first-seen order", source_id, profile.name,
                 )
                 profile._order_warned = True
 
@@ -153,12 +153,13 @@ def accumulate_profiles(docs: list[XmlDocument]) -> dict[str, ElementProfile]:
 
     profiles: dict[str, ElementProfile] = {}
     for doc in docs:
+        source_id = doc.source_id
         for e in doc.iter_elements():
             name = e.tag.local
             profile = profiles.get(name)
             if profile is None:
                 profile = profiles[name] = ElementProfile(name)
-            _observe(profile, e)
+            _observe(profile, e, source_id)
 
     for profile in profiles.values():
         for name in profile.child_order:

@@ -72,7 +72,7 @@ KIND_OBJECT_PROPERTY = "object-property"
 KIND_DATATYPE_PROPERTY = "datatype-property"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Bridge:
     schema_path: str
     entity_kind: str
@@ -325,7 +325,7 @@ class _Generator:
         classes, bridges = self.make_classes()
         if not classes:
             logger.warning(
-                "schema %r has no complex types or groups; ontology has no classes",
+                "%s: schema has no complex types or groups; ontology has no classes",
                 self.schema.source_id,
             )
         obj_records, dt_records = self.collect_properties()

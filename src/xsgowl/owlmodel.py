@@ -61,14 +61,14 @@ class Iri(NamedTuple):
         return f"{self.base}#{self.fragment}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OwlClass:
     iri: Iri
     label: str
     subclass_of: Iri | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ObjectProperty:
     iri: Iri
     domain: tuple[Iri, ...]
@@ -76,14 +76,14 @@ class ObjectProperty:
     cardinality: tuple[int, int | None] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DatatypeProperty:
     iri: Iri
     domain: tuple[Iri, ...]
     range: str  # full datatype IRI
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Individual:
     iri: Iri
     class_iri: Iri

@@ -79,19 +79,19 @@ class SchemaError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BuiltinRef:
     """Reference to a built-in XSD datatype by local name."""
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NamedTypeRef:
     """Reference to a schema-defined global type by name."""
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AttrDecl:
     name: str
     datatype: BuiltinRef | NamedTypeRef
@@ -99,7 +99,7 @@ class AttrDecl:
     position: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Particle:
     """One element particle of a content model: either a ref to a global
     element or a local declaration, never both."""
@@ -113,7 +113,7 @@ class Particle:
         return self.ref if self.ref is not None else self.decl.name
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ComplexType:
     name: str | None  # None iff anonymous (inline)
     particles: tuple[Particle, ...] = ()
@@ -125,28 +125,28 @@ class ComplexType:
     position: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SimpleType:
     name: str
     base: str  # built-in local name
     position: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ElementDecl:
     name: str
     type: BuiltinRef | NamedTypeRef | ComplexType
     position: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GroupDecl:
     name: str
     particles: tuple[Particle, ...]
     position: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AttrGroupDecl:
     name: str
     attributes: tuple[AttrDecl, ...]
@@ -266,14 +266,14 @@ def walk(roots):
 # resolved view
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GroupUse:
     """One complex type's reference to a group or attributeGroup."""
     decl: GroupDecl | AttrGroupDecl
     path: str  # under the body of the type that writes the reference
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TypeContent:
     """A complex type's content with its extension chain and group
     references flattened, base members first. Each member carries the
@@ -876,7 +876,7 @@ def serialize_schema(model: SchemaModel) -> str:
 # validation
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Violation:
     kind: str
     path: str

@@ -64,7 +64,7 @@ class EmptySchema(Exception):
     """The schema declares no global element, so there is no graph root."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class XsgVertex:
     id: int
     kind: str
@@ -72,7 +72,7 @@ class XsgVertex:
     schema_ref: object = field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class XsgEdge:
     id: int
     src: int
@@ -215,14 +215,14 @@ class _GraphBuilder:
         if not roots:
             first = self.by_component[id(self.schema.global_elements[0])]
             logger.warning(
-                "every global element is referenced; using %r as the root",
-                first.label,
+                "%s: every global element is referenced; using %r as the root",
+                self.schema.source_id, first.label,
             )
             roots = [first.id]
         elif len(roots) > 1:
             logger.warning(
-                "%d unreferenced global elements; graph has multiple roots",
-                len(roots),
+                "%s: %d unreferenced global elements; graph has multiple roots",
+                self.schema.source_id, len(roots),
             )
         return roots
 
@@ -260,7 +260,8 @@ class _GraphBuilder:
         # visited: what the roots reach here, they reach without back edges
         missing = len(self.vertices) - len(visited)
         if missing:
-            logger.warning("%d graph vertices are unreachable from the roots", missing)
+            logger.warning("%s: %d graph vertices are unreachable from the roots",
+                           self.schema.source_id, missing)
         for v in self.vertices:  # disconnected clusters still get classified
             if v.id not in visited:
                 dfs(v.id)

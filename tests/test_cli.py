@@ -519,3 +519,23 @@ def test_unwritable_output_exit_1(tmp_path, data_dir, capsys, case):
     assert captured.out == ""
     assert str(path) in captured.err and "Traceback" not in captured.err
     assert list(tmp_path.rglob(".*")) == []  # no temporary file left
+
+
+def test_library_warnings_name_their_source(tmp_path, capsys):
+    mixed = tmp_path / "mixed.xml"
+    mixed.write_bytes(b"<r><x>text</x><x><y/></x></r>")
+    two_roots = tmp_path / "roots.xsd"
+    two_roots.write_bytes(b"""<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+      <xs:element name="a" type="xs:string"/>
+      <xs:element name="b" type="xs:string"/>
+    </xs:schema>""")
+    code = run(["generate", str(mixed), str(two_roots),
+                "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    merge = [line for line in err if "text leaf" in line]
+    roots = [line for line in err if "multiple roots" in line]
+    assert merge == [f"WARNING {mixed}: element 'x' is both structured and a "
+                     f"text leaf; merging into a mixed complex profile"]
+    assert roots == [f"WARNING {two_roots}: 2 unreferenced global elements; "
+                     f"graph has multiple roots"]
