@@ -14,7 +14,6 @@ from .infer import (
 from .owlgen import GenOptions, MappingTrace, generate_tbox, write_trace
 from .owlmodel import (
     Individual,
-    Iri,
     ObjectProperty,
     DatatypeProperty,
     OntologyModel,
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GenOptions",
     "Individual",
-    "Iri",
     "MappingTrace",
     "NamingCollision",
     "ObjectProperty",

@@ -27,7 +27,6 @@ from .owlgen import MappingTrace
 from .owlmodel import (
     RDFS_LITERAL,
     Individual,
-    Iri,
     OntologyModel,
     sanitize_fragment,
 )
@@ -59,7 +58,6 @@ class _Populator:
                  trace: MappingTrace):
         self.position = doc.position
         self.view = schema.resolved
-        self.tbox = tbox
         self.resolution = trace.resolution
         # each datatype property's literal datatype, "" for a plain literal
         self.datatype = {p.iri: "" if p.range == RDFS_LITERAL else p.range
@@ -67,12 +65,12 @@ class _Populator:
         self.taken: dict[str, Element] = {}  # the instance that claimed each fragment
         self.collision: NamingCollision | None = None  # the first one seen
         self.out: list[Individual] = []
-        # per open element: instance, IRI, its step in the path name,
+        # per open element: instance, IRI fragment, its step in the path name,
         # slot in `out`, object and data assertions, and its group holders
         # by GroupUse path
-        self.open: list[tuple[Element, Iri, str, int, list, list, dict]] = []
+        self.open: list[tuple[Element, str, str, int, list, list, dict]] = []
 
-    def claim(self, instance: Element, fragment: str) -> Iri:
+    def claim(self, instance: Element, fragment: str) -> str:
         if fragment not in self.taken:
             self.taken[fragment] = instance
         elif self.collision is None:
@@ -82,7 +80,7 @@ class _Populator:
                 f"individual IRI fragment {fragment!r} produced twice: "
                 f"at {line}:{col} and {here[0]}:{here[1]}"
             )
-        return Iri(self.tbox.ontology_iri, fragment)
+        return fragment
 
     def holder(self, frame: tuple, use: GroupUse) -> tuple[list, list]:
         """The object and data assertions of the synthetic member holder of
@@ -92,7 +90,7 @@ class _Populator:
         found = holders.get(use.path)
         if found is None:
             synth_iri = self.claim(
-                instance, f"{iri.fragment}.{sanitize_fragment(use.decl.name)}_1"
+                instance, f"{iri}.{sanitize_fragment(use.decl.name)}_1"
             )
             found = holders[use.path] = (use, synth_iri, [], [])
             object_assertions.append((self.resolution[use.path], synth_iri))
@@ -125,7 +123,7 @@ class _Populator:
                     iri = self.push(instance, f"{instance.tag.local}_{ordinal}")
                     obj_sink.append((prop_iri, iri))
 
-    def push(self, instance: Element, step: str) -> Iri:
+    def push(self, instance: Element, step: str) -> str:
         """Claim the instance's individual and open it. Its path name joins
         the open elements' steps and its own; it is built only when used,
         so a deep document named by ids costs no path strings."""

@@ -14,7 +14,14 @@ references attach as has<GroupClass> object properties.
 A property holding one name across several containing classes is merged
 into a single property with a union domain by default; with
 union_domains=False each (domain, name) pair keeps its own property,
-fragment <DomainClass>.<name>.
+fragment <DomainClass>.<name>. A property whose fragment another
+property already holds takes a _2/_3 suffix: a datatype property named
+like an object property (an element hasX beside elements of class X),
+because OWL 2 DL keeps the two kinds disjoint, or a qualified name that
+equals another property's name.
+
+Every entity is named by a fragment of the ontology IRI (GenOptions'
+base_iri); the trace carries that IRI, as the model does.
 
 Every generated entity gets exactly one bridge record linking it back to
 the schema component that produced it (first contributor wins for merged
@@ -33,7 +40,6 @@ from .owlmodel import (
     RDFS_LITERAL,
     XSD_ANYTYPE,
     FragmentAllocator,
-    Iri,
     ObjectProperty,
     DatatypeProperty,
     OntologyModel,
@@ -77,15 +83,16 @@ class Bridge:
     schema_path: str
     entity_kind: str
     rule_id: str
-    iri: Iri
+    iri: str  # a fragment of the trace's ontology_iri
 
 
 @dataclass(frozen=True)
 class MappingTrace:
+    ontology_iri: str  # base IRI, no fragment, as on OntologyModel
     bridges: tuple[Bridge, ...]
-    #: every contributing schema path -> generated IRI; a merged property
-    #: has one bridge record (first origin) but several entries here
-    resolution: dict[str, Iri] = field(compare=False, default_factory=dict)
+    #: every contributing schema path -> generated IRI fragment; a merged
+    #: property has one bridge record (first origin) but several entries here
+    resolution: dict[str, str] = field(compare=False, default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -98,30 +105,24 @@ class GenOptions:
 
 def write_trace(t: MappingTrace) -> str:
     """Line-oriented TSV: schema-path, entity kind, rule id, IRI."""
-    lines = [f"{b.schema_path}\t{b.entity_kind}\t{b.rule_id}\t{b.iri.full}"
+    base = t.ontology_iri
+    lines = [f"{b.schema_path}\t{b.entity_kind}\t{b.rule_id}\t{base}#{b.iri}"
              for b in t.bridges]
     lines.append("")  # the final newline, without copying the document again
     return "\n".join(lines)
 
 
 class _PropRecord:
-    __slots__ = ("name", "domains", "domain_set", "contributions", "rule")
+    __slots__ = ("name", "domains", "contributions", "rule")
 
     def __init__(self, name, domain, rng, occurs, path, rule):
         self.name = name
-        self.domains = [domain]  # first-seen order; domains[0] qualifies the fragment
-        self.domain_set = None  # built when a second distinct domain arrives
+        self.domains = {domain: None}  # first-seen order; the first qualifies the fragment
         self.contributions = [(rng, occurs, path)]  # the first path is the bridge's origin
         self.rule = rule
 
     def add(self, domain, rng, occurs, path):
-        if self.domain_set is None:
-            if domain != self.domains[0]:
-                self.domain_set = {self.domains[0], domain}
-                self.domains.append(domain)
-        elif domain not in self.domain_set:
-            self.domain_set.add(domain)
-            self.domains.append(domain)
+        self.domains[domain] = None
         self.contributions.append((rng, occurs, path))
 
 
@@ -163,7 +164,7 @@ class _Generator:
         self.graph = graph
         self.opts = opts
         self.view = schema.resolved
-        self.class_iri: dict[int, Iri] = {}  # id(type/group component) -> Iri
+        self.class_iri: dict[int, str] = {}  # id(type/group component) -> fragment
         self.notes: list[str] = []
         self.sanitized_dt_names: set[str] = set()  # raw names already noted
         # type vertex id -> label of its element; the first element-type edge wins
@@ -171,13 +172,9 @@ class _Generator:
         for e in graph.edges:
             if e.kind == EDGE_ELEMENT_TYPE:
                 self.element_of_type.setdefault(e.dst, graph.vertices[e.src].label)
-
-    def iri(self, fragment: str) -> Iri:
-        return Iri(self.opts.base_iri, fragment)
-
-    def type_vertices(self):
-        return [
-            v for v in self.graph.vertices
+        # the vertices that become classes, in id order
+        self.type_vertices = [
+            v for v in graph.vertices
             if v.kind in (COMPLEX_TYPE, ELEMENT_GROUP, ATTRIBUTE_GROUP)
         ]
 
@@ -190,7 +187,7 @@ class _Generator:
     def make_classes(self) -> tuple[list[OwlClass], list[Bridge]]:
         alloc = FragmentAllocator("class")
         records = []  # (component, label, iri, rule, path)
-        for v in self.type_vertices():
+        for v in self.type_vertices:
             comp = v.schema_ref
             if v.kind == COMPLEX_TYPE:
                 if comp.name is not None:
@@ -199,7 +196,7 @@ class _Generator:
                     label, rule = self.surrounding_element(v), RULE_CLASS_ANON_TYPE
             else:
                 label, rule = comp.name, RULE_CLASS_GROUP
-            iri = self.iri(alloc.allocate(label))
+            iri = alloc.allocate(label)
             self.class_iri[id(comp)] = iri
             records.append((comp, label, iri, rule, self.view.path(comp)))
         self.notes.extend(alloc.notes)
@@ -224,7 +221,7 @@ class _Generator:
         return classes, class_bridges + subclass_bridges
 
     def element_range(self, decl: ElementDecl):
-        """(class Iri, None) for class-valued elements, or
+        """(class fragment, None) for class-valued elements, or
         (None, (datatype iri, rule)) for literal-valued ones."""
         etype = decl.type
         if isinstance(etype, ComplexType):
@@ -261,15 +258,15 @@ class _Generator:
         obj_records: dict = {}
         dt_records: dict = {}
 
-        def record(records: dict, name: str, domain: Iri, rng, occurs, path, rule):
-            key = name if union else (domain.fragment, name)
+        def record(records: dict, name: str, domain: str, rng, occurs, path, rule):
+            key = name if union else (domain, name)
             existing = records.get(key)
             if existing is None:
                 records[key] = _PropRecord(name, domain, rng, occurs, path, rule)
             else:
                 existing.add(domain, rng, occurs, path)
 
-        for v in self.type_vertices():
+        for v in self.type_vertices:
             comp = v.schema_ref
             domain = self.class_iri[id(comp)]
             for e in self.graph.out_edges(v.id):
@@ -281,7 +278,7 @@ class _Generator:
                     class_range, dt_range = self.element_range(decl)
                     if class_range is not None:
                         record(
-                            obj_records, f"has{class_range.fragment}", domain,
+                            obj_records, f"has{class_range}", domain,
                             class_range, e.occurs, self.view.path(e.schema_ref),
                             RULE_OBJPROP,
                         )
@@ -301,7 +298,7 @@ class _Generator:
                 elif dst.kind in (ELEMENT_GROUP, ATTRIBUTE_GROUP):
                     group_class = self.class_iri[id(dst.schema_ref)]
                     record(
-                        obj_records, f"has{group_class.fragment}", domain,
+                        obj_records, f"has{group_class}", domain,
                         group_class, None, self.view.ref_path(comp, dst.schema_ref),
                         RULE_OBJPROP,
                     )
@@ -318,7 +315,7 @@ class _Generator:
         several records share it. Union domains key records by name, so
         only literal domains can share one."""
         if name_counts[rec.name] > 1:
-            return f"{rec.domains[0].fragment}.{rec.name}"
+            return f"{next(iter(rec.domains))}.{rec.name}"
         return rec.name
 
     def generate(self) -> tuple[OntologyModel, MappingTrace]:
@@ -329,18 +326,23 @@ class _Generator:
                 self.schema.source_id,
             )
         obj_records, dt_records = self.collect_properties()
-        del self.graph, self.element_of_type  # read for the last time above
-        resolution: dict[str, Iri] = {b.schema_path: b.iri for b in bridges}
+        # read for the last time above
+        del self.graph, self.element_of_type, self.type_vertices
+        resolution: dict[str, str] = {b.schema_path: b.iri for b in bridges}
 
+        # a fragment already held by a property of either kind is renamed:
+        # OWL 2 DL keeps the two kinds disjoint, and a qualified name
+        # (<DomainClass>.<name>) can equal another property's name
+        obj_alloc = FragmentAllocator("object property")
         object_properties: list[ObjectProperty] = []
         name_counts = Counter(rec.name for rec in obj_records.values())
         for rec in obj_records.values():
-            fragment = self.finish_fragment(name_counts, rec)
+            fragment = obj_alloc.allocate(self.finish_fragment(name_counts, rec))
             cardinality = (_join_occurs(occurs for _, occurs, _ in rec.contributions)
                            if self.opts.emit_cardinality else None)
             prop = ObjectProperty(
-                iri=self.iri(fragment),
-                domain=tuple(sorted(rec.domains, key=lambda i: i.fragment)),
+                iri=fragment,
+                domain=tuple(sorted(rec.domains)),
                 range=rec.contributions[0][0],
                 cardinality=cardinality,
             )
@@ -351,17 +353,20 @@ class _Generator:
 
         datatype_properties: list[DatatypeProperty] = []
         name_counts = Counter(rec.name for rec in dt_records.values())
+        dt_alloc = FragmentAllocator("datatype property")
+        dt_alloc.taken = obj_alloc.taken
         for rec in dt_records.values():
-            fragment = self.finish_fragment(name_counts, rec)
+            fragment = dt_alloc.allocate(self.finish_fragment(name_counts, rec))
             prop = DatatypeProperty(
-                iri=self.iri(fragment),
-                domain=tuple(sorted(rec.domains, key=lambda i: i.fragment)),
+                iri=fragment,
+                domain=tuple(sorted(rec.domains)),
                 range=_join_ranges(rng for rng, _, _ in rec.contributions),
             )
             datatype_properties.append(prop)
             bridges.append(Bridge(rec.contributions[0][2], KIND_DATATYPE_PROPERTY,
                                   rec.rule, prop.iri))
             resolution.update((path, prop.iri) for _, _, path in rec.contributions)
+        self.notes += obj_alloc.notes + dt_alloc.notes
 
         model = OntologyModel(
             ontology_iri=self.opts.base_iri,
@@ -370,7 +375,7 @@ class _Generator:
             datatype_properties=tuple(datatype_properties),
             naming_notes=tuple(self.notes),
         )
-        return model, MappingTrace(tuple(bridges), resolution)
+        return model, MappingTrace(self.opts.base_iri, tuple(bridges), resolution)
 
 
 def generate_tbox(

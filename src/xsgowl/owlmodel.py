@@ -1,7 +1,13 @@
 """OWL-DL entity model with Turtle and RDF/XML writers.
 
-Models are validated on construction (dangling references or duplicate
-fragments raise ValueError), so the writers never have to defend
+Every entity reference is a fragment of the model's `ontology_iri`: one
+ontology holds every class, property and individual, so the base is kept
+once and joined to a fragment only where text is written. An assertion
+is then a tuple of strings, which the collector does not track.
+
+Models are validated on construction (dangling references, duplicate
+fragments, or one fragment declared as both an object and a datatype
+property raise ValueError), so the writers never have to defend
 themselves. Both writers emit the same triples in the same entity order:
 ontology header, classes, object properties (with any cardinality
 restriction axioms), datatype properties, individuals — each category
@@ -17,8 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import NamedTuple
+from operator import attrgetter, itemgetter
 
 from .datatypes import NAME_CHARS, is_ncname, lexically_valid
 
@@ -48,47 +53,34 @@ class _Memo(dict):
         return value
 
 
-class Iri(NamedTuple):
-    """An IRI as its base and its fragment. A tuple, so it hashes and
-    compares in C: population and the model check hash it for every
-    assertion."""
-
-    base: str
-    fragment: str
-
-    @property
-    def full(self) -> str:
-        return f"{self.base}#{self.fragment}"
-
-
 @dataclass(slots=True)
 class OwlClass:
-    iri: Iri
+    iri: str
     label: str
-    subclass_of: Iri | None = None
+    subclass_of: str | None = None
 
 
 @dataclass(slots=True)
 class ObjectProperty:
-    iri: Iri
-    domain: tuple[Iri, ...]
-    range: Iri
+    iri: str
+    domain: tuple[str, ...]
+    range: str
     cardinality: tuple[int, int | None] | None = None
 
 
 @dataclass(slots=True)
 class DatatypeProperty:
-    iri: Iri
-    domain: tuple[Iri, ...]
+    iri: str
+    domain: tuple[str, ...]
     range: str  # full datatype IRI
 
 
 @dataclass(slots=True)
 class Individual:
-    iri: Iri
-    class_iri: Iri
-    object_assertions: tuple[tuple[Iri, Iri], ...] = ()
-    data_assertions: tuple[tuple[Iri, str, str], ...] = ()  # (prop, value, dt iri or "")
+    iri: str
+    class_iri: str
+    object_assertions: tuple[tuple[str, str], ...] = ()
+    data_assertions: tuple[tuple[str, str, str], ...] = ()  # (prop, value, dt iri or "")
 
 
 @dataclass(frozen=True)
@@ -109,38 +101,45 @@ class OntologyModel:
         ):
             seen = set()
             for e in entities:
-                if e.iri.fragment in seen:
-                    raise ValueError(f"duplicate {name} fragment {e.iri.fragment!r}")
-                seen.add(e.iri.fragment)
+                if e.iri in seen:
+                    raise ValueError(f"duplicate {name} fragment {e.iri!r}")
+                seen.add(e.iri)
         class_iris = {c.iri for c in self.classes}
         for c in self.classes:
             if c.subclass_of is not None and c.subclass_of not in class_iris:
-                raise ValueError(f"subclass base {c.subclass_of.full} is not declared")
+                raise ValueError(
+                    f"subclass base {self.ontology_iri}#{c.subclass_of} is not declared"
+                )
         for p in self.object_properties:
             if p.range not in class_iris:
-                raise ValueError(f"range of {p.iri.fragment} is not a declared class")
+                raise ValueError(f"range of {p.iri} is not a declared class")
             for d in p.domain:
                 if d not in class_iris:
-                    raise ValueError(f"domain of {p.iri.fragment} is not a declared class")
+                    raise ValueError(f"domain of {p.iri} is not a declared class")
         for p in self.datatype_properties:
             for d in p.domain:
                 if d not in class_iris:
-                    raise ValueError(f"domain of {p.iri.fragment} is not a declared class")
+                    raise ValueError(f"domain of {p.iri} is not a declared class")
         obj_props = {p.iri for p in self.object_properties}
         dt_props = {p.iri for p in self.datatype_properties}
+        both = obj_props & dt_props  # OWL 2 DL keeps the two kinds disjoint
+        if both:
+            raise ValueError(
+                f"fragment {min(both)!r} is both an object and a datatype property"
+            )
         individual_iris = {i.iri for i in self.individuals}
         xsd_local = _Memo(lambda dt: dt[len(XSD_NS):] if dt.startswith(XSD_NS) else "")
         for ind in self.individuals:
             if ind.class_iri not in class_iris:
-                raise ValueError(f"individual {ind.iri.fragment} has undeclared class")
+                raise ValueError(f"individual {ind.iri} has undeclared class")
             for prop, target in ind.object_assertions:
                 if prop not in obj_props:
-                    raise ValueError(f"undeclared object property {prop.fragment}")
+                    raise ValueError(f"undeclared object property {prop}")
                 if target not in individual_iris:
-                    raise ValueError(f"assertion target {target.fragment} is not declared")
+                    raise ValueError(f"assertion target {target} is not declared")
             for prop, value, dt in ind.data_assertions:
                 if prop not in dt_props:
-                    raise ValueError(f"undeclared datatype property {prop.fragment}")
+                    raise ValueError(f"undeclared datatype property {prop}")
                 local = xsd_local[dt]
                 if local and not lexically_valid(value, local):
                     raise ValueError(
@@ -207,18 +206,11 @@ class FragmentAllocator:
 # Turtle
 
 
-_BY_FRAGMENT = attrgetter("iri.fragment")  # the sort keys, for both writers
+_BY_FRAGMENT = attrgetter("iri")  # the sort keys, for both writers
+_DATA_KEY = itemgetter(0, 1)  # property, then value; object assertions sort as they are
 
 
-def _object_key(a: tuple[Iri, Iri]) -> tuple[str, str]:
-    return a[0].fragment, a[1].fragment
-
-
-def _data_key(a: tuple[Iri, str, str]) -> tuple[str, str]:
-    return a[0].fragment, a[1]
-
-
-def _in_order(assertions: tuple, key) -> tuple | list:
+def _in_order(assertions: tuple, key=None) -> tuple | list:
     """An individual's assertions in output order; one alone needs no sort."""
     return sorted(assertions, key=key) if len(assertions) > 1 else assertions
 
@@ -247,21 +239,21 @@ def _turtle_string(s: str) -> str:
     return f'"{_turtle_escape(s)}"'
 
 
-def _domain_expr(domain: tuple[Iri, ...]) -> str:
+def _domain_expr(domain: tuple[str, ...]) -> str:
     """rdfs:domain object expression: the one class, or the union of all."""
     if len(domain) == 1:
-        return f":{domain[0].fragment}"
-    members = " ".join(f":{d.fragment}" for d in domain)
+        return f":{domain[0]}"
+    members = " ".join(f":{d}" for d in domain)
     return f"[ a owl:Class ; owl:unionOf ( {members} ) ]"
 
 
-def _cardinality_axioms(p: ObjectProperty) -> list[tuple[Iri, str, int]]:
+def _cardinality_axioms(p: ObjectProperty) -> list[tuple[str, str, int]]:
     """(domain class, facet, value) triples to emit as restrictions."""
     if p.cardinality is None:
         return []
     low, high = p.cardinality
     axioms = []
-    for d in sorted(p.domain, key=attrgetter("fragment")):
+    for d in sorted(p.domain):
         if low > 0:
             axioms.append((d, "minCardinality", low))
         if high is not None:
@@ -283,44 +275,42 @@ def serialize_turtle(o: OntologyModel) -> str:
     ]
 
     for c in sorted(o.classes, key=_BY_FRAGMENT):
-        lines = [f":{c.iri.fragment} a owl:Class ;"]
+        lines = [f":{c.iri} a owl:Class ;"]
         if c.subclass_of is not None:
-            lines.append(f"    rdfs:subClassOf :{c.subclass_of.fragment} ;")
+            lines.append(f"    rdfs:subClassOf :{c.subclass_of} ;")
         lines.append(f"    rdfs:label {_turtle_string(c.label)} .")
         out.extend(lines)
         out.append("")
 
     for p in sorted(o.object_properties, key=_BY_FRAGMENT):
-        out.append(f":{p.iri.fragment} a owl:ObjectProperty ;")
+        out.append(f":{p.iri} a owl:ObjectProperty ;")
         out.append(f"    rdfs:domain {_domain_expr(p.domain)} ;")
-        out.append(f"    rdfs:range :{p.range.fragment} .")
+        out.append(f"    rdfs:range :{p.range} .")
         for cls, facet, value in _cardinality_axioms(p):
             out.append(
-                f":{cls.fragment} rdfs:subClassOf [ a owl:Restriction ; "
-                f"owl:onProperty :{p.iri.fragment} ; "
+                f":{cls} rdfs:subClassOf [ a owl:Restriction ; "
+                f"owl:onProperty :{p.iri} ; "
                 f'owl:{facet} "{value}"^^xsd:nonNegativeInteger ] .'
             )
         out.append("")
 
     for p in sorted(o.datatype_properties, key=_BY_FRAGMENT):
-        out.append(f":{p.iri.fragment} a owl:DatatypeProperty ;")
+        out.append(f":{p.iri} a owl:DatatypeProperty ;")
         out.append(f"    rdfs:domain {_domain_expr(p.domain)} ;")
         out.append(f"    rdfs:range {_turtle_datatype(p.range)} .")
         out.append("")
 
     # each (property, datatype) pair's text around a literal's value
     literal = _Memo(lambda pair: (
-        f'    :{pair[0].fragment} "',
+        f'    :{pair[0]} "',
         f'"^^{_turtle_datatype(pair[1])} ;' if pair[1] else '" ;',
     ))
     for ind in sorted(o.individuals, key=_BY_FRAGMENT):
         # each line ends its statement with " ;", and the last one with " ."
-        out.append(
-            f":{ind.iri.fragment} a owl:NamedIndividual , :{ind.class_iri.fragment} ;"
-        )
-        for prop, target in _in_order(ind.object_assertions, _object_key):
-            out.append(f"    :{prop.fragment} :{target.fragment} ;")
-        for prop, value, dt in _in_order(ind.data_assertions, _data_key):
+        out.append(f":{ind.iri} a owl:NamedIndividual , :{ind.class_iri} ;")
+        for prop, target in _in_order(ind.object_assertions):
+            out.append(f"    :{prop} :{target} ;")
+        for prop, value, dt in _in_order(ind.data_assertions, _DATA_KEY):
             head, tail = literal[prop, dt]
             out.append(f"{head}{_turtle_escape(value)}{tail}")
         out[-1] = out[-1][:-1] + "."
@@ -362,9 +352,9 @@ def serialize_rdfxml(o: OntologyModel) -> str:
         f'         xmlns:ont="{_xml_attr(base + "#")}">',
         f'  <owl:Ontology rdf:about="{_xml_attr(base)}"/>',
     ]
-    about = _Memo(lambda iri: _xml_attr(iri.full))  # each IRI, escaped
+    about = _Memo(lambda fragment: _xml_attr(f"{base}#{fragment}"))  # each IRI, escaped
 
-    def domain_xml(domain: tuple[Iri, ...], indent: str) -> list[str]:
+    def domain_xml(domain: tuple[str, ...], indent: str) -> list[str]:
         if len(domain) == 1:
             return [f'{indent}<rdfs:domain rdf:resource="{about[domain[0]]}"/>']
         lines = [
@@ -414,16 +404,16 @@ def serialize_rdfxml(o: OntologyModel) -> str:
 
     # each (property, datatype) pair's start and end tag
     tags = _Memo(lambda pair: (
-        f'    <ont:{pair[0].fragment} rdf:datatype="{_xml_attr(pair[1])}">'
-        if pair[1] else f"    <ont:{pair[0].fragment}>",
-        f"</ont:{pair[0].fragment}>",
+        f'    <ont:{pair[0]} rdf:datatype="{_xml_attr(pair[1])}">'
+        if pair[1] else f"    <ont:{pair[0]}>",
+        f"</ont:{pair[0]}>",
     ))
     for ind in sorted(o.individuals, key=_BY_FRAGMENT):
         out.append(f'  <owl:NamedIndividual rdf:about="{about[ind.iri]}">')
         out.append(f'    <rdf:type rdf:resource="{about[ind.class_iri]}"/>')
-        for prop, target in _in_order(ind.object_assertions, _object_key):
-            out.append(f'    <ont:{prop.fragment} rdf:resource="{about[target]}"/>')
-        for prop, value, dt in _in_order(ind.data_assertions, _data_key):
+        for prop, target in _in_order(ind.object_assertions):
+            out.append(f'    <ont:{prop} rdf:resource="{about[target]}"/>')
+        for prop, value, dt in _in_order(ind.data_assertions, _DATA_KEY):
             start, end = tags[prop, dt]
             out.append(f"{start}{_xml_escape(value)}{end}")
         out.append("  </owl:NamedIndividual>")
@@ -444,7 +434,7 @@ def check_dl_profile(o: OntologyModel) -> list[str]:
     for p in o.datatype_properties:
         if p.range == XSD_ANYTYPE:
             warnings.append(
-                f"datatype property '{p.iri.fragment}' has range xsd:anyType, "
+                f"datatype property '{p.iri}' has range xsd:anyType, "
                 f"which is not an OWL-DL datatype"
             )
     warnings.extend(o.naming_notes)

@@ -6,9 +6,10 @@ simple) and every element/attribute group. Edges run from elements to
 their non-primitive types and from types/groups to their members;
 references to groups also get a member edge so the group stays reachable.
 
-The graph of a recursion-free schema is acyclic; recursive schemas are
-handled by marking the closing edge of each cycle as a back edge, which
-downstream traversal excludes.
+The graph of a recursion-free schema is acyclic; in a recursive schema
+the closing edge of each cycle is marked as a back edge. The marks are
+read only by `to_dot`, which dashes those edges, and `is_tree`: the TBox
+generator reads every out-edge of each type vertex, back edges included.
 
 A graph is read-only once `build_xsg` returns it. Its out-adjacency and
 in-degrees are derived from the edge list once, on first use, and shared

@@ -50,11 +50,11 @@ def test_criterion_1_golden_example(tmp_path, data_dir):
     onto, trace = generate_tbox(
         schema, build_xsg(schema), GenOptions(base_iri=f"{BASE}/bibliography")
     )
-    assert {c.iri.fragment for c in onto.classes} == {
+    assert {c.iri for c in onto.classes} == {
         "bibliography", "biblioentry", "author", "publisher"
     }
     assert {
-        (p.iri.fragment, p.domain[0].fragment, p.range.fragment)
+        (p.iri, p.domain[0], p.range)
         for p in onto.object_properties
     } == {
         ("hasbiblioentry", "bibliography", "biblioentry"),
@@ -62,7 +62,7 @@ def test_criterion_1_golden_example(tmp_path, data_dir):
         ("haspublisher", "biblioentry", "publisher"),
     }
     assert {
-        (p.iri.fragment, tuple(sorted(d.fragment for d in p.domain)), p.range)
+        (p.iri, tuple(sorted(p.domain)), p.range)
         for p in onto.datatype_properties
     } == {
         ("id", ("biblioentry", "bibliography"), xsd_iri("NCName")),
@@ -198,7 +198,7 @@ def test_criterion_5_abox(data_dir, bibliography_xsd, bibliography_single_xml):
     onto = populate(doc, schema, tbox, trace)
 
     assert len(onto.individuals) == 4
-    fragments = {i.iri.fragment for i in onto.individuals}
+    fragments = {i.iri for i in onto.individuals}
     assert {"personal_identity", "FHIW13C-1234"} <= fragments
 
     declared_obj = {p.iri for p in onto.object_properties}
@@ -209,8 +209,8 @@ def test_criterion_5_abox(data_dir, bibliography_xsd, bibliography_single_xml):
         for prop, _, _ in ind.data_assertions:
             assert prop in declared_dt
 
-    entry = next(i for i in onto.individuals if i.iri.fragment == "FHIW13C-1234")
-    assert (next(p for p in onto.datatype_properties if p.iri.fragment == "pubdate").iri,
+    entry = next(i for i in onto.individuals if i.iri == "FHIW13C-1234")
+    assert (next(p for p in onto.datatype_properties if p.iri == "pubdate").iri,
             "1977", xsd_iri("integer")) in entry.data_assertions
 
 

@@ -539,3 +539,47 @@ def test_library_warnings_name_their_source(tmp_path, capsys):
                      f"text leaf; merging into a mixed complex profile"]
     assert roots == [f"WARNING {two_roots}: 2 unreferenced global elements; "
                      f"graph has multiple roots"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--literal-domains"]], ids=["union", "literal"])
+def test_element_named_like_an_object_property_is_renamed(tmp_path, capsys, flags):
+    # hasFoo is both Foo's object property and an element's name; OWL 2 DL
+    # forbids one IRI as both kinds of property
+    src = tmp_path / "r.xml"
+    src.write_bytes(b"<r><Foo><x>1</x></Foo><hasFoo>2</hasFoo></r>")
+    code = run(["generate", str(src), "--out-dir", str(tmp_path), "--format", "both",
+                "--with-instances", *flags])
+    assert code == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.endswith("2 individuals, 1 warnings\n")
+    assert err == "WARNING r: datatype property name 'hasFoo' already used; " \
+                  "renamed to hasFoo_2\n"
+    base = "http://example.org/onto/r#"
+    triples = parse_turtle((tmp_path / "r.ttl").read_text())
+    assert triples == parse_rdfxml((tmp_path / "r.rdf").read_text())
+    inventory = entity_inventory(triples)
+    assert inventory["object_properties"] == {base + "hasFoo"}
+    assert inventory["datatype_properties"] == {base + "hasFoo_2", base + "x"}
+    # population resolves each assertion to its own property
+    individual = base + "r_1"
+    assert {(p, o) for s, p, o in triples if s == individual and p.startswith(base)} \
+        == {(base + "hasFoo", base + "r_1.Foo_1"),
+            (base + "hasFoo_2", ("lit", "2", "http://www.w3.org/2001/XMLSchema#integer"))}
+
+
+def test_qualified_property_name_equal_to_another_is_renamed(tmp_path, capsys):
+    # under --literal-domains hasY is qualified as hasX.hasY, the name of
+    # the property to class X.hasY
+    src = tmp_path / "c.xml"
+    src.write_bytes(b"<r><hasX><Y><a>1</a></Y></hasX><Z><Y><a>2</a></Y></Z>"
+                    b"<X.hasY><b>1</b></X.hasY></r>")
+    code = run(["generate", str(src), "--out-dir", str(tmp_path), "--format", "both",
+                "--with-instances", "--literal-domains"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ("WARNING c: object property name 'hasX.hasY' "
+                                       "already used; renamed to hasX.hasY_2\n")
+    base = "http://example.org/onto/c#"
+    triples = parse_turtle((tmp_path / "c.ttl").read_text())
+    assert triples == parse_rdfxml((tmp_path / "c.rdf").read_text())
+    assert (base + "r_1", base + "hasX.hasY", base + "r_1.X.hasY_1") in triples
+    assert (base + "r_1.hasX_1", base + "hasX.hasY_2", base + "r_1.hasX_1.Y_1") in triples

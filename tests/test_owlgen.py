@@ -31,7 +31,7 @@ def tbox_for(xsd: bytes, opts: GenOptions = OPTS):
 
 def test_golden_classes(bibliography_xsd):
     (onto, _), _ = tbox_for(bibliography_xsd)
-    assert {c.iri.fragment for c in onto.classes} == {
+    assert {c.iri for c in onto.classes} == {
         "bibliography", "biblioentry", "author", "publisher"
     }
     assert all(c.subclass_of is None for c in onto.classes)
@@ -40,7 +40,7 @@ def test_golden_classes(bibliography_xsd):
 def test_golden_object_properties(bibliography_xsd):
     (onto, _), _ = tbox_for(bibliography_xsd)
     props = {
-        p.iri.fragment: ([d.fragment for d in p.domain], p.range.fragment)
+        p.iri: (list(p.domain), p.range)
         for p in onto.object_properties
     }
     assert props == {
@@ -53,7 +53,7 @@ def test_golden_object_properties(bibliography_xsd):
 def test_golden_datatype_properties_union_mode(bibliography_xsd):
     (onto, _), _ = tbox_for(bibliography_xsd)
     props = {
-        p.iri.fragment: (sorted(d.fragment for d in p.domain), p.range)
+        p.iri: (sorted(p.domain), p.range)
         for p in onto.datatype_properties
     }
     assert props == {
@@ -69,7 +69,7 @@ def test_golden_datatype_properties_union_mode(bibliography_xsd):
 
 def test_golden_literal_domains(bibliography_xsd):
     (onto, _), _ = tbox_for(bibliography_xsd, GenOptions(base_iri=BASE, union_domains=False))
-    fragments = sorted(p.iri.fragment for p in onto.datatype_properties)
+    fragments = sorted(p.iri for p in onto.datatype_properties)
     assert fragments == [
         "biblioentry.id", "bibliography.id", "firstname", "othername",
         "pubdate", "publishername", "surname", "title",
@@ -80,8 +80,8 @@ def test_golden_literal_domains(bibliography_xsd):
 def test_object_property_naming_invariant(bibliography_xsd):
     (onto, _), _ = tbox_for(bibliography_xsd)
     for p in onto.object_properties:
-        assert p.iri.fragment.startswith("has")
-        assert p.iri.fragment[len("has"):] == p.range.fragment
+        assert p.iri.startswith("has")
+        assert p.iri[len("has"):] == p.range
 
 
 DERIVED = b"""<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
@@ -102,17 +102,17 @@ DERIVED = b"""<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
 
 def test_subclass_axiom_from_extension():
     (onto, trace), _ = tbox_for(DERIVED)
-    by_frag = {c.iri.fragment: c for c in onto.classes}
+    by_frag = {c.iri: c for c in onto.classes}
     assert by_frag["authorType"].subclass_of == by_frag["personType"].iri
     assert by_frag["personType"].subclass_of is None
     ext = [b for b in trace.bridges if b.rule_id == RULE_SUBCLASS_EXT]
-    assert len(ext) == 1 and ext[0].iri.fragment == "authorType"
+    assert len(ext) == 1 and ext[0].iri == "authorType"
     assert ext[0].entity_kind == KIND_SUBCLASS
 
 
 def test_named_types_keep_their_names():
     (onto, _), _ = tbox_for(DERIVED)
-    assert {c.iri.fragment for c in onto.classes} == {"personType", "authorType"}
+    assert {c.iri for c in onto.classes} == {"personType", "authorType"}
 
 
 MIXED = b"""<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
@@ -127,12 +127,12 @@ MIXED = b"""<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
 
 def test_mixed_text_property():
     (onto, trace), _ = tbox_for(MIXED)
-    assert {c.iri.fragment for c in onto.classes} == {"para"}
+    assert {c.iri for c in onto.classes} == {"para"}
     text_props = [p for p in onto.datatype_properties
-                  if p.iri.fragment == "hasTextContent"]
+                  if p.iri == "hasTextContent"]
     assert len(text_props) == 1
     assert text_props[0].range == xsd_iri("string")
-    assert text_props[0].domain[0].fragment == "para"
+    assert text_props[0].domain[0] == "para"
     assert any(b.rule_id == RULE_DTPROP_MIXED_TEXT for b in trace.bridges)
 
 
@@ -140,7 +140,7 @@ def test_cardinality_emission(bibliography_xsd):
     (onto, _), _ = tbox_for(
         bibliography_xsd, GenOptions(base_iri=BASE, emit_cardinality=True)
     )
-    card = {p.iri.fragment: p.cardinality for p in onto.object_properties}
+    card = {p.iri: p.cardinality for p in onto.object_properties}
     # facets read off the schema by hand: author 1..unbounded,
     # publisher 1..1, biblioentry 1..unbounded
     assert card["hasauthor"] == (1, None)
@@ -166,7 +166,7 @@ ANYTYPE = b"""<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
 
 def test_defined_simple_type_maps_to_anytype():
     (onto, trace), _ = tbox_for(ANYTYPE)
-    (isbn,) = [p for p in onto.datatype_properties if p.iri.fragment == "isbn"]
+    (isbn,) = [p for p in onto.datatype_properties if p.iri == "isbn"]
     assert isbn.range == XSD_ANYTYPE
     assert any(b.rule_id == RULE_DEFINED_SIMPLE_ANYTYPE for b in trace.bridges)
     warnings = check_dl_profile(onto)
@@ -175,7 +175,7 @@ def test_defined_simple_type_maps_to_anytype():
 
 def test_strict_dl_substitutes_literal():
     (onto, _), _ = tbox_for(ANYTYPE, GenOptions(base_iri=BASE, strict_dl=True))
-    (isbn,) = [p for p in onto.datatype_properties if p.iri.fragment == "isbn"]
+    (isbn,) = [p for p in onto.datatype_properties if p.iri == "isbn"]
     assert isbn.range == RDFS_LITERAL
     assert check_dl_profile(onto) == []
 
@@ -212,7 +212,7 @@ def test_datatype_property_range(schema, name, default, strict):
     for opts, expected in ((OPTS, default),
                            (GenOptions(base_iri=BASE, strict_dl=True), strict)):
         (onto, _), _ = tbox_for(schema, opts)
-        (prop,) = [p for p in onto.datatype_properties if p.iri.fragment == name]
+        (prop,) = [p for p in onto.datatype_properties if p.iri == name]
         assert prop.range == expected, opts
 
 
@@ -267,10 +267,10 @@ SHARED_HAS_R = [("Zed", f"xs:sequence/xs:element[r{i}]") for i in (1, 2)] + [
 def test_shared_name_merges_every_contribution(union):
     opts = GenOptions(base_iri=BASE, union_domains=union, emit_cardinality=True)
     (onto, trace), _ = tbox_for(SHARED_NAME, opts)
-    dt = {p.iri.fragment: ([d.fragment for d in p.domain], p.range)
+    dt = {p.iri: (list(p.domain), p.range)
           for p in onto.datatype_properties}
-    obj = {p.iri.fragment: ([d.fragment for d in p.domain], p.cardinality)
-           for p in onto.object_properties if p.range.fragment == "R"}
+    obj = {p.iri: (list(p.domain), p.cardinality)
+           for p in onto.object_properties if p.range == "R"}
     if union:  # one property per name
         assert dt == {"note": (["Alpha", "Mid", "Zed"], xsd_iri("string"))}
         assert obj == {"hasR": (["Alpha", "Mid", "Zed"], (0, 7))}
@@ -286,20 +286,20 @@ def test_shared_name_merges_every_contribution(union):
     for name, contributions in contributed:
         for domain, step in contributions:
             path = shared_path(domain, step)
-            assert trace.resolution[path].fragment == qualify.format(domain=domain, name=name), path
+            assert trace.resolution[path] == qualify.format(domain=domain, name=name), path
     # each property's bridge names its first contribution
     firsts = [0] if union else [0, 2, 3]
     origins = {qualify.format(domain=cs[i][0], name=name): shared_path(*cs[i])
                for name, cs in contributed for i in firsts}
-    bridged = {b.iri.fragment: b.schema_path for b in trace.bridges
-               if b.entity_kind != KIND_CLASS and b.iri.fragment in origins}
+    bridged = {b.iri: b.schema_path for b in trace.bridges
+               if b.entity_kind != KIND_CLASS and b.iri in origins}
     assert bridged == origins
 
 
 def test_datatype_name_sanitized_once():
     # a final "." is an NCName character but ends no Turtle local name
     (onto, _), _ = tbox_for(two_local(' type="xs:string"', ' type="xs:string"', "v."))
-    assert [p.iri.fragment for p in onto.datatype_properties] == ["v_"]
+    assert [p.iri for p in onto.datatype_properties] == ["v_"]
     assert onto.naming_notes == ("datatype property name 'v.' sanitized to 'v_'",)
 
 
@@ -326,16 +326,16 @@ GROUPS = b"""<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
 
 def test_groups_become_classes_and_properties():
     (onto, _), _ = tbox_for(GROUPS)
-    assert {c.iri.fragment for c in onto.classes} == {
+    assert {c.iri for c in onto.classes} == {
         "record", "nameGroup", "metaAttrs"
     }
-    obj = {p.iri.fragment: (p.domain[0].fragment, p.range.fragment)
+    obj = {p.iri: (p.domain[0], p.range)
            for p in onto.object_properties}
     assert obj == {
         "hasnameGroup": ("record", "nameGroup"),
         "hasmetaAttrs": ("record", "metaAttrs"),
     }
-    dt = {p.iri.fragment: p.domain[0].fragment for p in onto.datatype_properties}
+    dt = {p.iri: p.domain[0] for p in onto.datatype_properties}
     assert dt == {"first": "nameGroup", "last": "nameGroup", "version": "metaAttrs"}
 
 
@@ -361,7 +361,7 @@ def test_anonymous_type_name_clash_suffixes():
       </xs:element>
     </xs:schema>"""
     (onto, _), _ = tbox_for(schema)
-    fragments = sorted(c.iri.fragment for c in onto.classes)
+    fragments = sorted(c.iri for c in onto.classes)
     assert fragments == ["r", "x", "x_2", "z"]
     assert onto.naming_notes  # the rename is reported
 
@@ -401,11 +401,11 @@ def test_naming_invariant_random():
     for seed in range(60):
         schema = random_schema(seed)
         onto, _ = generate_tbox(schema, build_xsg(schema), OPTS)
-        class_frags = {c.iri.fragment for c in onto.classes}
+        class_frags = {c.iri for c in onto.classes}
         for p in onto.object_properties:
-            assert p.iri.fragment.startswith("has")
-            assert p.iri.fragment[3:] == p.range.fragment
-            assert p.range.fragment in class_frags
+            assert p.iri.startswith("has")
+            assert p.iri[3:] == p.range
+            assert p.range in class_frags
 
 
 # --- trace ------------------------------------------------------------------

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from xsgowl.owlmodel import (
+    OWL_NS,
+    RDF_NS,
     RDFS_LITERAL,
+    RDFS_NS,
     XSD_ANYTYPE,
     FragmentAllocator,
     Individual,
-    Iri,
     ObjectProperty,
     DatatypeProperty,
     OntologyModel,
@@ -23,25 +25,21 @@ from triples import parse_rdfxml, parse_turtle
 BASE = "http://example.org/onto/test"
 
 
-def iri(frag: str) -> Iri:
-    return Iri(BASE, frag)
-
-
 def small_model(**overrides) -> OntologyModel:
     classes = (
-        OwlClass(iri("author"), "author"),
-        OwlClass(iri("biblioentry"), "biblioentry"),
-        OwlClass(iri("bibliography"), "bibliography"),
+        OwlClass("author", "author"),
+        OwlClass("biblioentry", "biblioentry"),
+        OwlClass("bibliography", "bibliography"),
     )
     fields = dict(
         ontology_iri=BASE,
         classes=classes,
         object_properties=(
-            ObjectProperty(iri("hasauthor"), (iri("biblioentry"),), iri("author")),
+            ObjectProperty("hasauthor", ("biblioentry",), "author"),
         ),
         datatype_properties=(
             DatatypeProperty(
-                iri("id"), (iri("bibliography"), iri("biblioentry")), xsd_iri("NCName")
+                "id", ("bibliography", "biblioentry"), xsd_iri("NCName")
             ),
         ),
     )
@@ -49,12 +47,14 @@ def small_model(**overrides) -> OntologyModel:
     return OntologyModel(**fields)
 
 
-def test_iri_hashes_and_compares_by_base_and_fragment():
-    a = iri("author")
-    assert hash(a) == hash((BASE, "author"))  # the value it had as a dataclass
-    assert a == Iri(BASE, "author")
-    assert a != iri("biblioentry") and a != Iri(BASE + "/abox", "author")
-    assert a.full == f"{BASE}#author"
+def test_fragments_join_the_ontology_iri_in_both_writers():
+    # an entity is named by its fragment alone; each writer joins it to
+    # the model's one base
+    model = small_model()
+    for triples in (parse_turtle(serialize_turtle(model)),
+                    parse_rdfxml(serialize_rdfxml(model))):
+        assert (f"{BASE}#author", RDF_NS + "type", OWL_NS + "Class") in triples
+        assert (f"{BASE}#hasauthor", RDFS_NS + "range", f"{BASE}#author") in triples
 
 
 def test_empty_ontology_turtle():
@@ -81,7 +81,7 @@ def test_union_domain_expression():
 
 def test_cardinality_restriction_axioms():
     model = small_model(object_properties=(
-        ObjectProperty(iri("hasauthor"), (iri("biblioentry"),), iri("author"),
+        ObjectProperty("hasauthor", ("biblioentry",), "author",
                        cardinality=(1, 1)),
     ))
     ttl = serialize_turtle(model)
@@ -94,16 +94,16 @@ def test_cardinality_restriction_axioms():
 def test_individuals_serialize_and_agree():
     model = small_model(individuals=(
         Individual(
-            iri("FHIW13C-1234"), iri("biblioentry"),
-            object_assertions=((iri("hasauthor"), iri("a1")),),
-            data_assertions=((iri("id"), "FHIW13C-1234", xsd_iri("NCName")),),
+            "FHIW13C-1234", "biblioentry",
+            object_assertions=(("hasauthor", "a1"),),
+            data_assertions=(("id", "FHIW13C-1234", xsd_iri("NCName")),),
         ),
-        Individual(iri("a1"), iri("author")),
+        Individual("a1", "author"),
     ))
     ttl = serialize_turtle(model)
     triples = parse_turtle(ttl)
-    assert (iri("FHIW13C-1234").full, BASE + "#hasauthor", iri("a1").full) in triples
-    assert (iri("FHIW13C-1234").full, BASE + "#id",
+    assert (f"{BASE}#FHIW13C-1234", BASE + "#hasauthor", f"{BASE}#a1") in triples
+    assert (f"{BASE}#FHIW13C-1234", BASE + "#id",
             ("lit", "FHIW13C-1234", xsd_iri("NCName"))) in triples
     assert triples == parse_rdfxml(serialize_rdfxml(model))
 
@@ -133,14 +133,14 @@ def test_string_escaping_round_trips():
     # each character that either syntax escapes, alone and all together, in
     # a literal and a label, in a model whose base IRI holds "&"
     base = "http://example.org/onto/t&u"
-    author, note = Iri(base, "author"), Iri(base, "note")
+    author, note = "author", "note"
     for special in SPECIAL + ["".join(SPECIAL)]:
         value, label = f"v{special}w", f"label{special}"
         model = OntologyModel(
             ontology_iri=base,
             classes=(OwlClass(author, label),),
             datatype_properties=(DatatypeProperty(note, (author,), xsd_iri("string")),),
-            individuals=(Individual(Iri(base, "x"), author, data_assertions=(
+            individuals=(Individual("x", author, data_assertions=(
                 (note, value, xsd_iri("string")),
             )),),
         )
@@ -160,33 +160,44 @@ def test_referential_closure_enforced():
         OntologyModel(
             ontology_iri=BASE,
             object_properties=(
-                ObjectProperty(iri("hasx"), (iri("ghost"),), iri("ghost")),
+                ObjectProperty("hasx", ("ghost",), "ghost"),
             ),
         )
     with pytest.raises(ValueError, match="duplicate"):
         OntologyModel(
             ontology_iri=BASE,
-            classes=(OwlClass(iri("a"), "a"), OwlClass(iri("a"), "a")),
+            classes=(OwlClass("a", "a"), OwlClass("a", "a")),
         )
 
 
+def test_fragment_in_both_property_kinds_rejected():
+    # OWL 2 DL forbids one IRI as both an object and a datatype property
+    with pytest.raises(ValueError) as caught:
+        small_model(datatype_properties=(
+            DatatypeProperty("hasauthor", ("author",), xsd_iri("string")),
+        ))
+    assert str(caught.value) == (
+        "fragment 'hasauthor' is both an object and a datatype property"
+    )
+
+
 @pytest.mark.parametrize("overrides, message", [
-    (dict(classes=(OwlClass(iri("a"), "a", subclass_of=iri("ghost")),)),
+    (dict(classes=(OwlClass("a", "a", subclass_of="ghost"),)),
      f"subclass base {BASE}#ghost is not declared"),
-    (dict(object_properties=(ObjectProperty(iri("hasx"), (iri("ghost"),), iri("author")),)),
+    (dict(object_properties=(ObjectProperty("hasx", ("ghost",), "author"),)),
      "domain of hasx is not a declared class"),
-    (dict(datatype_properties=(DatatypeProperty(iri("d"), (iri("ghost"),), xsd_iri("string")),)),
+    (dict(datatype_properties=(DatatypeProperty("d", ("ghost",), xsd_iri("string")),)),
      "domain of d is not a declared class"),
-    (dict(individuals=(Individual(iri("x"), iri("ghost")),)),
+    (dict(individuals=(Individual("x", "ghost"),)),
      "individual x has undeclared class"),
-    (dict(individuals=(Individual(iri("x"), iri("author"),
-                                  object_assertions=((iri("ghost"), iri("x")),)),)),
+    (dict(individuals=(Individual("x", "author",
+                                  object_assertions=(("ghost", "x"),)),)),
      "undeclared object property ghost"),
-    (dict(individuals=(Individual(iri("x"), iri("biblioentry"),
-                                  object_assertions=((iri("hasauthor"), iri("ghost")),)),)),
+    (dict(individuals=(Individual("x", "biblioentry",
+                                  object_assertions=(("hasauthor", "ghost"),)),)),
      "assertion target ghost is not declared"),
-    (dict(individuals=(Individual(iri("x"), iri("author"),
-                                  data_assertions=((iri("ghost"), "1", ""),)),)),
+    (dict(individuals=(Individual("x", "author",
+                                  data_assertions=(("ghost", "1", ""),)),)),
      "undeclared datatype property ghost"),
 ], ids=["subclass-base", "object-property-domain", "datatype-property-domain",
         "individual-class", "object-property", "assertion-target", "datatype-property"])
@@ -200,9 +211,9 @@ def test_custom_datatype_written_as_full_iri():
     # a datatype outside XSD and rdfs:Literal has no prefix to shorten it
     custom = "http://example.org/types#code"
     model = small_model(
-        datatype_properties=(DatatypeProperty(iri("code"), (iri("author"),), custom),),
-        individuals=(Individual(iri("x"), iri("author"),
-                                data_assertions=((iri("code"), "A-1", custom),)),),
+        datatype_properties=(DatatypeProperty("code", ("author",), custom),),
+        individuals=(Individual("x", "author",
+                                data_assertions=(("code", "A-1", custom),)),),
     )
     ttl = serialize_turtle(model)
     assert f"rdfs:range <{custom}> ." in ttl
@@ -213,27 +224,27 @@ def test_custom_datatype_written_as_full_iri():
 def test_invalid_literal_rejected():
     with pytest.raises(ValueError, match="lexically"):
         small_model(individuals=(
-            Individual(iri("x"), iri("author"), data_assertions=(
-                (iri("id"), "not an ncname!", xsd_iri("NCName")),
+            Individual("x", "author", data_assertions=(
+                ("id", "not an ncname!", xsd_iri("NCName")),
             )),
         ))
 
 
 def test_subclass_axiom_serialized():
     model = small_model(classes=(
-        OwlClass(iri("author"), "author", subclass_of=iri("bibliography")),
-        OwlClass(iri("biblioentry"), "biblioentry"),
-        OwlClass(iri("bibliography"), "bibliography"),
+        OwlClass("author", "author", subclass_of="bibliography"),
+        OwlClass("biblioentry", "biblioentry"),
+        OwlClass("bibliography", "bibliography"),
     ))
     triples = parse_turtle(serialize_turtle(model))
-    assert (iri("author").full, "http://www.w3.org/2000/01/rdf-schema#subClassOf",
-            iri("bibliography").full) in triples
+    assert (f"{BASE}#author", "http://www.w3.org/2000/01/rdf-schema#subClassOf",
+            f"{BASE}#bibliography") in triples
     assert triples == parse_rdfxml(serialize_rdfxml(model))
 
 
 def test_check_dl_profile_anytype():
     model = small_model(datatype_properties=(
-        DatatypeProperty(iri("isbn"), (iri("author"),), XSD_ANYTYPE),
+        DatatypeProperty("isbn", ("author",), XSD_ANYTYPE),
     ))
     warnings = check_dl_profile(model)
     assert len(warnings) == 1 and "isbn" in warnings[0] and "anyType" in warnings[0]
@@ -247,11 +258,11 @@ def test_check_dl_profile_clean():
 def test_rdfs_literal_range_plain_literals():
     model = small_model(
         datatype_properties=(
-            DatatypeProperty(iri("any"), (iri("author"),), RDFS_LITERAL),
+            DatatypeProperty("any", ("author",), RDFS_LITERAL),
         ),
         individuals=(
-            Individual(iri("x"), iri("author"),
-                       data_assertions=((iri("any"), "free text", ""),)),
+            Individual("x", "author",
+                       data_assertions=(("any", "free text", ""),)),
         ),
     )
     ttl = serialize_turtle(model)

@@ -13,7 +13,6 @@ from xsgowl.owlmodel import (
     XSD_ANYTYPE,
     DatatypeProperty,
     Individual,
-    Iri,
     ObjectProperty,
     OntologyModel,
     OwlClass,
@@ -34,7 +33,7 @@ from xsgowl.xsdmodel import (
 )
 from xsgowl.xsg import EDGE_MEMBER, ELEMENT, XsgEdge, XsgVertex
 
-R = Iri("http://example.org/onto/test", "r")
+R = "r"
 
 RECORDS = [
     BuiltinRef("string"),
@@ -68,6 +67,6 @@ def test_record_is_slotted_and_not_frozen(record):
 
 
 def test_ontology_model_stays_frozen():
-    model = OntologyModel(R.base, classes=(OwlClass(R, "r"),))
+    model = OntologyModel("http://example.org/onto/test", classes=(OwlClass(R, "r"),))
     with pytest.raises(dataclasses.FrozenInstanceError):
         model.classes = ()
