@@ -5,8 +5,9 @@ it. Every mutation below breaks one copy of it at a seeded random site,
 and the test compares one SHA-256 per seed and mutation over the full
 `[(kind, path, message)]` list with data/violation_digests.json, so a
 change to a violation's kind, path, message or order shows. A mutation
-with no site in a document is recorded as "n/a". After a deliberate
-message change, rewrite the file with
+with no site in a document is recorded as "n/a". `populate` must refuse
+each mutated document with the first three of the same violations.
+After a deliberate message change, rewrite the file with
 
     PYTHONPATH=src:tests python tests/test_violations.py --write
 """
@@ -22,15 +23,19 @@ from pathlib import Path
 
 import pytest
 
+from xsgowl.abox import DocumentInvalid, populate
 from xsgowl.infer import infer_schema
+from xsgowl.owlgen import GenOptions, generate_tbox
 from xsgowl.xmldoc import parse_xml
 from xsgowl.xsdmodel import BuiltinRef, ComplexType, validate
+from xsgowl.xsg import build_xsg
 from randgen import random_document, random_tree
 from treeparse import TreeDocument, TreeElement, TreeName
 from xmlwrite import serialize_xml
 
 DIGESTS = Path(__file__).parent / "data" / "violation_digests.json"
 SEEDS = range(100)
+BASE = "http://example.org/onto/violations"
 
 
 def walk(root: TreeElement):
@@ -150,10 +155,13 @@ def reparsed(root: TreeElement, source_id: str):
     return parse_xml(serialize_xml(TreeDocument(root, source_id)).encode(), source_id)
 
 
-def mutated_reports():
-    """{"seed/mutation": [(kind, path, message), ...] or None}; "seed/all"
-    applies every mutation that has a site, one after another."""
-    reports = {}
+def mutated_documents():
+    """[(key, schema, document, violations)]: "seed/mutation" keys, each
+    with the seed's inferred schema, its mutated document and what
+    `validate` reports for it, or None for the document and violations
+    when the mutation has no site. "seed/all" applies every mutation that
+    has a site, one after another."""
+    cases = []
     for seed in SEEDS:
         doc = random_document(seed)
         schema = infer_schema([doc])
@@ -164,20 +172,26 @@ def mutated_reports():
         for label, (_, sites) in MUTATIONS.items():
             found = sites(schema, tree)
             if not found:
-                reports[f"{seed}/{label}"] = None
+                cases.append((f"{seed}/{label}", schema, None, None))
                 continue
             where, change = rng.choice(found)
-            report = validate(reparsed(edit(tree, where, change), doc.source_id), schema)
-            reports[f"{seed}/{label}"] = [
-                (v.kind, v.path, v.message) for v in report.violations
-            ]
+            mutated = reparsed(edit(tree, where, change), doc.source_id)
+            cases.append((f"{seed}/{label}", schema, mutated,
+                          validate(mutated, schema).violations))
             again = sites(schema, combined)
             if again:
                 where, change = rng.choice(again)
                 combined = edit(combined, where, change)
-        report = validate(reparsed(combined, doc.source_id), schema)
-        reports[f"{seed}/all"] = [(v.kind, v.path, v.message) for v in report.violations]
-    return reports
+        mutated = reparsed(combined, doc.source_id)
+        cases.append((f"{seed}/all", schema, mutated, validate(mutated, schema).violations))
+    return cases
+
+
+def mutated_reports(cases):
+    """{"seed/mutation": [(kind, path, message), ...] or None}."""
+    return {key: None if violations is None
+            else [(v.kind, v.path, v.message) for v in violations]
+            for key, _, _, violations in cases}
 
 
 def digest(violations) -> str:
@@ -187,8 +201,13 @@ def digest(violations) -> str:
 
 
 @pytest.fixture(scope="module")
-def reports():
-    return mutated_reports()
+def cases():
+    return mutated_documents()
+
+
+@pytest.fixture(scope="module")
+def reports(cases):
+    return mutated_reports(cases)
 
 
 def test_violations_match_digests(reports):
@@ -214,8 +233,27 @@ def test_later_sibling_paths_carry_ordinals(reports):
     assert any("[2]" in p or "[3]" in p for p in paths)
 
 
+def test_populate_reports_the_first_three_violations(cases):
+    # validation and population check a document in the same pass, so
+    # population refuses each mutated document with validate's first three
+    # violations, in order
+    tboxes = {}
+    for key, schema, doc, violations in cases:
+        if doc is None:
+            continue
+        if id(schema) not in tboxes:
+            tboxes[id(schema)] = generate_tbox(
+                schema, build_xsg(schema), GenOptions(base_iri=BASE))
+        problems = "; ".join(str(v) for v in violations[:3])
+        with pytest.raises(DocumentInvalid) as raised:
+            populate(doc, schema, *tboxes[id(schema)])
+        assert str(raised.value) == (
+            f"document {doc.source_id!r} does not validate against the schema: "
+            f"{problems}"), key
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
-    table = {key: digest(v) for key, v in mutated_reports().items()}
+    table = {key: digest(v) for key, v in mutated_reports(mutated_documents()).items()}
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
