@@ -114,6 +114,13 @@ for _alias in (
     _LEXICAL[_alias] = _LEXICAL[INTEGER]
 
 
+def lexical_check(datatype: str):
+    """The check of a built-in's lexical space, by local name: a function
+    of a value that returns something truthy exactly when the value is
+    valid. None when the type's values are accepted unchecked."""
+    return _LEXICAL.get(datatype)
+
+
 def lexically_valid(value: str, datatype: str) -> bool:
     check = _LEXICAL.get(datatype)
     return True if check is None else bool(check(value))

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 
-from .datatypes import NAME_CHARS, is_ncname, lexically_valid
+from .datatypes import NAME_CHARS, is_ncname, lexical_check
 
 OWL_NS = "http://www.w3.org/2002/07/owl#"
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -128,7 +128,9 @@ class OntologyModel:
                 f"fragment {min(both)!r} is both an object and a datatype property"
             )
         individual_iris = {i.iri for i in self.individuals}
-        xsd_local = _Memo(lambda dt: dt[len(XSD_NS):] if dt.startswith(XSD_NS) else "")
+        # each literal datatype's lexical check, looked up once per model
+        checks = _Memo(lambda dt: lexical_check(dt[len(XSD_NS):])
+                       if dt.startswith(XSD_NS) else None)
         for ind in self.individuals:
             if ind.class_iri not in class_iris:
                 raise ValueError(f"individual {ind.iri} has undeclared class")
@@ -140,8 +142,8 @@ class OntologyModel:
             for prop, value, dt in ind.data_assertions:
                 if prop not in dt_props:
                     raise ValueError(f"undeclared datatype property {prop}")
-                local = xsd_local[dt]
-                if local and not lexically_valid(value, local):
+                check = checks[dt]
+                if check is not None and not check(value):
                     raise ValueError(
                         f"value {value!r} is not lexically valid for {dt}"
                     )

@@ -18,18 +18,19 @@ reader keeps its own explicit stack over the XSD's XML elements.
 
 `SchemaModel.resolved` is the one derived view of a model: each
 component's schema path and each complex type's flattened content, with
-that content's occurrence bounds and required names. The validator here,
-the TBox generator and instance population all read it; the validator
-keeps no facts of its own about a type.
+that content's occurrence bounds, required names and per-member checks.
+The instance pass here, the TBox generator and instance population all
+read it; the pass keeps no facts of its own about a type.
 
-`walk_instances` is the one traversal of an instance document, the
-validator's: an explicit stack that checks each element and then yields
-an enter event with the declaration member that admitted it, its
-resolved type and content, its sibling ordinal and, when its type is not
-complex, the text the check read; a complex-typed element also yields a
-leave event after its children. `validate` drains it;
-instance population (abox.py) builds individuals from the same events, so
-no document depth runs into Python's recursion limit either.
+`check_instances` is the one pass over an instance document: an explicit
+stack of open complex-typed elements that checks each element against
+the facts its type's content holds, once per type: each child name's
+member, resolved type and value check, each attribute's value check. A
+bare text leaf costs one strip and one check. `validate` runs the pass
+alone; instance population (abox.py) runs it with a sink that is handed
+each admitted element, so one walk checks a document and builds its
+individuals, and no document depth runs into Python's recursion limit
+either.
 
 Validation is deliberately structural, not a full XSD 1.0 validator: it
 checks element/attribute presence, per-name occurrence counts, lexical
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from xml.etree.ElementTree import Element
 
-from .datatypes import lexically_valid
+from .datatypes import lexical_check
 from .xmldoc import XmlDocument, attributes, parse_xml, text_content
 
 logger = logging.getLogger("xsgowl.xsd")
@@ -276,21 +277,43 @@ class GroupUse:
 @dataclass(slots=True)
 class TypeContent:
     """A complex type's content with its extension chain and group
-    references flattened, base members first. Each member carries the
-    GroupUse it came through, or None when a type declares it directly; a
-    particle member also carries its element's declared type, read off the
-    referenced global element once here rather than per instance.
-    `bounds` holds each particle name's total (min, max) occurrences, max
-    None when unbounded, in particle order; `required` holds the names
-    whose min is above 0, in the same order, and `required_attributes` the
-    names of the attributes declared use="required"."""
-    particles: dict[str, list[tuple[Particle, GroupUse | None,
-                                    BuiltinRef | NamedTypeRef | ComplexType]]]
-    attributes: dict[str, tuple[AttrDecl, GroupUse | None]]  # first wins
+    references flattened, base members first, and what checking and
+    populating an instance of it needs, derived once per type.
+
+    `particles` maps each child name to the member that admits it, the
+    first particle of that name: (particle, the GroupUse it came through or
+    None when a type declares it directly, the resolved type of its
+    element, that type's value check, the particle's schema path). The
+    resolved type is a ComplexType, a SimpleType or a BuiltinRef; the value
+    check is `datatypes.lexical_check` of its lexical type, None when values
+    go unchecked or the type is complex. `attributes` maps each attribute
+    name to (declaration, GroupUse or None, value check, schema path), the
+    first declaration winning. `bounds` holds each child name's total
+    (min, max) occurrences, max None when unbounded, in particle order;
+    `required` holds the names whose min is above 0, in the same order,
+    and `required_attributes` the names of the attributes declared
+    use="required"."""
+    particles: dict[str, tuple[Particle, GroupUse | None,
+                               ComplexType | SimpleType | BuiltinRef, object, str]]
+    attributes: dict[str, tuple[AttrDecl, GroupUse | None, object, str]]
     mixed_types: tuple[ComplexType, ...]  # most-derived first
     bounds: dict[str, tuple[int, int | None]]
     required: tuple[str, ...]
     required_attributes: tuple[str, ...]
+
+
+def _lexical_type(t: SimpleType | BuiltinRef) -> str:
+    """The built-in whose lexical space a resolved simple type's values
+    take: a built-in's own, or a simple type's base."""
+    return t.base if type(t) is SimpleType else t.name
+
+
+def _value_check(t):
+    """The lexical check of a resolved type's values; None when the type
+    is complex or its values go unchecked."""
+    if t is None or type(t) is ComplexType:  # None: a dangling reference
+        return None
+    return lexical_check(_lexical_type(t))
 
 
 class ResolvedSchema:
@@ -348,6 +371,11 @@ class ResolvedSchema:
         tag = "group" if isinstance(decl, GroupDecl) else "attributeGroup"
         return f"{self._bodies[id(ct)]}/xs:{tag}[{decl.name}]"
 
+    def resolve(self, ref):
+        """The type a declaration names: the schema's global type for a
+        NamedTypeRef, else the BuiltinRef or ComplexType itself."""
+        return self._types.get(ref.name) if type(ref) is NamedTypeRef else ref
+
     def content(self, ct: ComplexType) -> TypeContent:
         """The type's flattened content, built on first use."""
         found = self._content.get(id(ct))
@@ -359,12 +387,27 @@ class ResolvedSchema:
         chain = [ct]  # most-derived first; extension adds to its base
         while chain[-1].derivation is not None and chain[-1].derivation[0] == "extension":
             chain.append(self._types.get(chain[-1].derivation[1]))
-        particles: dict[str, list] = {}
-        attrs: dict[str, tuple[AttrDecl, GroupUse | None]] = {}
+        paths = self._paths
+        particles: dict[str, tuple] = {}
+        attrs: dict[str, tuple] = {}
+        bounds: dict[str, tuple[int, int | None]] = {}  # max None when unbounded
 
         def add(p: Particle, use: GroupUse | None):
-            declared = p.decl.type if p.ref is None else self._elements[p.ref].type
-            particles.setdefault(p.name, []).append((p, use, declared))
+            name = p.name
+            bound = bounds.get(name)
+            if bound is None:
+                declared = p.decl.type if p.ref is None else self._elements[p.ref].type
+                t = self.resolve(declared)
+                particles[name] = (p, use, t, _value_check(t), paths[id(p)])
+                bound = 0, 0
+            low, high = bound
+            bounds[name] = (low + p.min_occurs, None if high is None or p.max_occurs is None
+                            else high + p.max_occurs)
+
+        def add_attribute(a: AttrDecl, use: GroupUse | None):
+            if a.name not in attrs:
+                attrs[a.name] = (a, use, _value_check(self.resolve(a.datatype)),
+                                 paths[id(a)])
 
         for t in reversed(chain):
             for p in t.particles:
@@ -375,26 +418,16 @@ class ResolvedSchema:
                 for p in decl.particles:
                     add(p, use)
             for a in t.attributes:
-                attrs.setdefault(a.name, (a, None))
+                add_attribute(a, None)
             for ag in t.attr_group_refs:
                 decl = self._attr_groups.get(ag)
                 use = GroupUse(decl, self.ref_path(t, decl))
                 for a in decl.attributes:
-                    attrs.setdefault(a.name, (a, use))
-        bounds, required, required_attributes = {}, [], []
-        for name, members in particles.items():  # max None when unbounded
-            low = high = 0
-            for p, _, _ in members:
-                low += p.min_occurs
-                high = None if high is None or p.max_occurs is None else high + p.max_occurs
-            bounds[name] = low, high
-            if low > 0:
-                required.append(name)
-        for name, (a, _) in attrs.items():
-            if a.required:
-                required_attributes.append(name)
-        return TypeContent(particles, attrs, tuple(t for t in chain if t.mixed), bounds,
-                           tuple(required), tuple(required_attributes))
+                    add_attribute(a, use)
+        return TypeContent(
+            particles, attrs, tuple(t for t in chain if t.mixed), bounds,
+            tuple(name for name, (low, _) in bounds.items() if low > 0),
+            tuple(name for name, (a, *_) in attrs.items() if a.required))
 
 
 # ---------------------------------------------------------------------------
@@ -895,175 +928,192 @@ class ValidationReport:
         return not self.violations
 
 
-class _Validator:
-    def __init__(self, model: SchemaModel, violations: list[Violation]):
-        self.model = model
-        self.view = model.resolved
+class _InstanceCheck:
+    """One check of one document against a schema, on an explicit stack of
+    open complex-typed elements, handing what it admits to an optional
+    sink (see `check_instances`). Every per-type fact comes from the
+    schema's resolved view; the path of an element is formatted only when
+    a violation there is reported."""
+
+    def __init__(self, schema: SchemaModel, violations: list[Violation], sink):
+        self.schema = schema
+        self.view = schema.resolved
         self.violations = violations
-        # Where the walk is: the root's name, then a name and a same-name
-        # sibling ordinal per level. It becomes a path string only when a
-        # violation is reported, so a valid document formats none.
-        self.trail: list[str | int] = []
+        self.sink = sink
+        # per open complex-typed element: its children left to check, its
+        # type and content, the same-name counts of the children checked so
+        # far, and its name and same-name ordinal (None for the root)
+        self.stack: list[tuple] = []
 
-    def complain(self, kind: str, message: str, suffix: str = ""):
-        trail = self.trail
-        steps = "".join(
-            f"/{trail[i]}[{trail[i + 1]}]" for i in range(1, len(trail), 2)
-        )
-        self.violations.append(Violation(kind, f"/{trail[0]}{steps}{suffix}", message))
+    def complain(self, kind: str, message: str, name: str, ordinal: int | None,
+                 suffix: str = ""):
+        """Report a violation at the element `name`, the `ordinal`th of its
+        name among its siblings, below the open elements."""
+        levels = [(frame[4], frame[5]) for frame in self.stack]
+        levels.append((name, ordinal))
+        path = "".join(f"/{n}" if o is None else f"/{n}[{o}]" for n, o in levels)
+        self.violations.append(Violation(kind, path + suffix, message))
 
-    def resolve_type(self, ref) -> ComplexType | SimpleType | BuiltinRef:
-        if isinstance(ref, NamedTypeRef):
-            return self.model.type_named(ref.name)
-        return ref
-
-    def check_simple_value(self, value: str, t, suffix: str = ""):
-        """Check a value against the lexical space of the resolved type `t`:
-        a built-in's own, or a simple type's base."""
-        if isinstance(t, BuiltinRef):
-            lex = None if t.name in ("anyType", "anySimpleType") else t.name
+    def simple_value(self, el: Element, t, check, name: str, ordinal: int | None) -> str:
+        """The trimmed text of an element whose resolved type `t` is not
+        complex, checked against `t` with the value check `check`. A bare
+        text leaf, with no attribute, namespace declaration or child, costs
+        one strip and the check."""
+        text = el.text
+        if el.attrib or len(el):
+            if type(t) is not BuiltinRef or t.name != "anyType":  # anyType admits both
+                for attr, _ in attributes(el):
+                    self.complain(
+                        "undeclared-attribute",
+                        f"attribute {attr!r} not allowed on simple-typed element",
+                        name, ordinal,
+                    )
+                for child in el:
+                    self.complain(
+                        "unknown-element",
+                        f"element {child.tag.local!r} not allowed inside simple-typed element",
+                        name, ordinal,
+                    )
+            text = text_content(el)
         else:
-            lex = t.base if isinstance(t, SimpleType) else None
-        if lex is not None and not lexically_valid(value, lex):
-            self.complain("datatype", f"value {value!r} is not a valid xs:{lex}", suffix)
+            text = text.strip() if text else ""
+        if check is not None and not check(text):
+            self.complain("datatype", f"value {text!r} is not a valid xs:{_lexical_type(t)}",
+                          name, ordinal)
+        return text
 
-    def check(self, instance: Element, type_ref):
-        """Check one element against its declared type, not its children:
-        (resolved type, flattened content or None when the type is not
-        complex, the element's text or None when the type is complex)."""
-        resolved = self.resolve_type(type_ref)
-        if isinstance(resolved, BuiltinRef) and resolved.name == "anyType":
-            return resolved, None, text_content(instance)
-        if isinstance(resolved, (BuiltinRef, SimpleType)):
-            for name, _ in attributes(instance):
-                self.complain(
-                    "undeclared-attribute",
-                    f"attribute {name!r} not allowed on simple-typed element",
-                )
-            for child in instance:
-                self.complain(
-                    "unknown-element",
-                    f"element {child.tag.local!r} not allowed inside simple-typed element",
-                )
-            text = text_content(instance)
-            self.check_simple_value(text, resolved)
-            return resolved, None, text
-
-        content = self.view.content(resolved)
-        attrs = content.attributes
-
-        present = attributes(instance)
-        for name, value in present:
-            member = attrs.get(name)
+    def complex_element(self, el: Element, attrs: list[tuple[str, str]],
+                        content: TypeContent, name: str, ordinal: int | None):
+        """Check an element of a complex type, but not its children: its
+        attributes `attrs`, its text and how often each child name occurs."""
+        table = content.attributes
+        for attr, value in attrs:
+            member = table.get(attr)
             if member is None:
-                self.complain("undeclared-attribute", f"undeclared attribute {name!r}")
-            else:
-                self.check_simple_value(
-                    value, self.resolve_type(member[0].datatype), f"/@{name}")
+                self.complain("undeclared-attribute", f"undeclared attribute {attr!r}",
+                              name, ordinal)
+            elif member[2] is not None and not member[2](value):
+                lexical = _lexical_type(self.view.resolve(member[0].datatype))
+                self.complain("datatype", f"value {value!r} is not a valid xs:{lexical}",
+                              name, ordinal, f"/@{attr}")
         if content.required_attributes:
-            names = dict(present)
-            for name in content.required_attributes:
-                if name not in names:
-                    self.complain("missing-attribute", f"required attribute {name!r} is missing")
+            present = dict(attrs)
+            for attr in content.required_attributes:
+                if attr not in present:
+                    self.complain("missing-attribute",
+                                  f"required attribute {attr!r} is missing", name, ordinal)
 
-        if not content.mixed_types and text_content(instance):
-            self.complain("unexpected-text", "text content in non-mixed type")
-
+        # one loop counts the children and looks for text between them
+        text = el.text
+        stray = text and not text.isspace()
         counts: dict[str, int] = {}
-        for child in instance:
-            name = child.tag.local
-            counts[name] = counts.get(name, 0) + 1
+        for child in el:
+            child_name = child.tag.local
+            counts[child_name] = counts.get(child_name, 0) + 1
+            tail = child.tail
+            if tail and not tail.isspace():
+                stray = True
+        if stray and not content.mixed_types:
+            self.complain("unexpected-text", "text content in non-mixed type", name, ordinal)
+
         # Only required names and names present can be out of bounds, so
         # the check costs no more than the instance and the required names,
         # however many optional names the type declares. Reports follow
         # particle order.
         bounds = content.bounds
-        off = [name for name in content.required if name not in counts]
-        for name, n in counts.items():
-            bound = bounds.get(name)
+        off = [child_name for child_name in content.required if child_name not in counts]
+        for child_name, n in counts.items():
+            bound = bounds.get(child_name)
             if bound is not None and (n < bound[0] or (bound[1] is not None and n > bound[1])):
-                off.append(name)
+                off.append(child_name)
         if len(off) > 1:
             out = set(off)
-            off = [name for name in bounds if name in out]
-        for name in off:
-            n = counts.get(name, 0)
-            min_total, max_total = bounds[name]
+            off = [child_name for child_name in bounds if child_name in out]
+        for child_name in off:
+            n = counts.get(child_name, 0)
+            min_total, max_total = bounds[child_name]
             if n == 0:
-                self.complain("missing-child", f"required child {name!r} is missing")
+                message = f"required child {child_name!r} is missing"
             elif n < min_total:
-                self.complain(
-                    "occurrence", f"child {name!r} occurs {n} times, minimum is {min_total}",
-                )
+                message = f"child {child_name!r} occurs {n} times, minimum is {min_total}"
             else:
-                self.complain(
-                    "occurrence", f"child {name!r} occurs {n} times, maximum is {max_total}",
-                )
-        return resolved, content, None
+                message = f"child {child_name!r} occurs {n} times, maximum is {max_total}"
+            self.complain("missing-child" if n == 0 else "occurrence", message, name, ordinal)
+
+    def run(self, root: Element):
+        view, stack, violations, sink = self.view, self.stack, self.violations, self.sink
+        name = root.tag.local
+        decl = self.schema.element(name)
+        if decl is None:
+            self.complain("unknown-element", f"no global element {name!r}", name, None)
+            return
+        t = view.resolve(decl.type)
+        if type(t) is not ComplexType:
+            self.simple_value(root, t, _value_check(t), name, None)
+            return
+        content = view.content(t)
+        attrs = attributes(root)
+        self.complex_element(root, attrs, content, name, None)
+        if sink is not None and not violations:
+            sink.open(root, attrs, None, 1)
+        stack.append((iter(root), t, content, {}, name, None))
+
+        complain, simple_value, complex_element, content_of = (
+            self.complain, self.simple_value, self.complex_element, view.content)
+        while stack:
+            children, _, content, ordinals, _, _ = stack[-1]
+            particles = content.particles
+            for child in children:
+                name = child.tag.local
+                ordinal = ordinals[name] = ordinals.get(name, 0) + 1
+                member = particles.get(name)
+                if member is None:
+                    complain("unknown-element", f"unexpected element {name!r}", name, ordinal)
+                    continue
+                t = member[2]
+                if type(t) is not ComplexType:
+                    text = simple_value(child, t, member[3], name, ordinal)
+                    if sink is not None and not violations:
+                        sink.value(member, text)
+                    continue
+                inner = content_of(t)
+                attrs = attributes(child)
+                complex_element(child, attrs, inner, name, ordinal)
+                if sink is not None and not violations:
+                    sink.open(child, attrs, member, ordinal)
+                if len(child):  # resume `children` once the child's are checked
+                    stack.append((iter(child), t, inner, {}, name, ordinal))
+                    break
+                if sink is not None and not violations:
+                    sink.close(t, inner)
+            else:
+                _, t, content, *_ = stack.pop()
+                if sink is not None and not violations:
+                    sink.close(t, content)
 
 
-def walk_instances(doc: XmlDocument, schema: SchemaModel, violations: list[Violation]):
+def check_instances(doc: XmlDocument, schema: SchemaModel, violations: list[Violation],
+                    sink=None):
     """Check the document against the schema, depth first in document
-    order on an explicit stack, appending each violation to `violations`
-    as it is found. Yields (ENTER, instance, member, type, content, ordinal,
-    text) once an element is checked and, for a complex-typed element only,
-    (LEAVE, ...) after its children: the (particle, GroupUse or None,
-    declared type) member that admitted it (None for the root), its
-    resolved type, that type's flattened content (None unless the type is
-    complex), its 1-based ordinal among same-name siblings and its trimmed
-    text (None when the type is complex), read once for the check and its
-    consumers. So ENTER
-    and LEAVE pair up for complex-typed elements, and a simple-typed one,
-    which has nothing to close, yields ENTER alone.
-    An element that no declaration admits yields no events."""
-    v = _Validator(schema, violations)
-    root, trail = doc.root, v.trail
-    name = root.tag.local
-    trail.append(name)
-    decl = schema.element(name)
-    if decl is None:
-        v.complain("unknown-element", f"no global element {name!r}")
-        return
-    resolved, content, text = v.check(root, decl.type)
-    yield ENTER, root, None, resolved, content, 1, text
-    # per open element: its event fields, its children left to walk and
-    # the same-name counts of those walked; only a complex-typed element's
-    # children are walked
-    stack = [((root, None, resolved, content, 1, text),
-              iter(root if content is not None else ()), {})]
-    while stack:
-        fields, children, ordinals = stack[-1]
-        for child in children:
-            name = child.tag.local
-            ordinal = ordinals[name] = ordinals.get(name, 0) + 1
-            trail += (name, ordinal)
-            members = fields[3].particles.get(name)
-            if members is None:
-                v.complain("unknown-element", f"unexpected element {name!r}")
-                del trail[-2:]
-                continue
-            member = members[0]
-            resolved, content, text = v.check(child, member[2])
-            yield ENTER, child, member, resolved, content, ordinal, text
-            if content is not None and len(child):
-                # resume `children` once the child's walk is done
-                stack.append(((child, member, resolved, content, ordinal, text),
-                              iter(child), {}))
-                break
-            del trail[-2:]
-            if content is not None:
-                yield LEAVE, child, member, resolved, content, ordinal, text
-        else:
-            stack.pop()
-            del trail[-2:]
-            if fields[3] is not None:  # only a simple-typed root has none
-                yield (LEAVE, *fields)
+    order, appending each violation to `violations` as it is found. An
+    element that no declaration admits is reported and not descended into.
+
+    While no violation has been found, the sink, when given, is handed
+    each admitted element once it is checked:
+    - `sink.open(element, attributes, member, ordinal)` for an element of
+      a complex type, with its (local name, value) attributes, the
+      `TypeContent.particles` member that admitted it (None for the root)
+      and its 1-based ordinal among same-name siblings; then
+      `sink.close(type, content)` after its children, with its resolved
+      type and flattened content;
+    - `sink.value(member, text)` for a child element of any other type,
+      with its trimmed text. A root of such a type is checked only."""
+    _InstanceCheck(schema, violations, sink).run(doc.root)
 
 
 def validate(doc: XmlDocument, schema: SchemaModel) -> ValidationReport:
     """Structurally check a document against the schema; an empty report
     means the document conforms (within the supported construct set)."""
     violations: list[Violation] = []
-    for _ in walk_instances(doc, schema, violations):
-        pass
+    check_instances(doc, schema, violations)
     return ValidationReport(violations)

@@ -116,7 +116,7 @@ def test_call_graph_sees_calls():
     # a bare-name call to a module function, a call to a method through
     # `self`, and a call from a method to a function nested in it
     assert "xsdmodel._check_references" in edges["xsdmodel._SchemaReader.read"]
-    assert "abox._Populator.holder" in edges["abox._Populator.build"]
+    assert "abox._Populator.holder" in edges["abox._Populator.value"]
     assert ("owlgen._Generator.collect_properties.record"
             in edges["owlgen._Generator.collect_properties"])
     assert cycles({"a": {"b"}, "b": {"a"}, "c": {"c"}, "d": {"a"}}) == [["a", "b"], ["c"]]

@@ -6,8 +6,6 @@ import pytest
 from xsgowl.infer import infer_schema
 from xsgowl.xmldoc import parse_xml
 from xsgowl.xsdmodel import (
-    ENTER,
-    LEAVE,
     AttrDecl,
     AttrGroupDecl,
     BuiltinRef,
@@ -19,9 +17,9 @@ from xsgowl.xsdmodel import (
     SchemaModel,
     SimpleType,
     read_schema,
+    check_instances,
     serialize_schema,
     validate,
-    walk_instances,
 )
 from randgen import random_document, random_schema
 
@@ -398,22 +396,48 @@ WALK_SCHEMA = b"""<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
 </xs:schema>"""
 
 
-def walk_events(xml: bytes) -> list[tuple[str, str]]:
-    violations = []
-    events = [(event, instance.tag.local) for event, instance, *_ in walk_instances(
-        parse_xml(xml, "d"), read_schema(WALK_SCHEMA, "t"), violations)]
-    assert violations == []
-    return events
+class Recorder:
+    """A sink that records what the instance pass hands it, by element
+    name; each close names the element its matching open pushed."""
+
+    def __init__(self):
+        self.calls: list[tuple] = []
+        self.names: list[str] = []
+
+    def open(self, instance, attrs, member, ordinal):
+        self.names.append(instance.tag.local)
+        self.calls.append(("open", instance.tag.local, ordinal, attrs))
+
+    def value(self, member, text):
+        self.calls.append(("value", member[0].name, text))
+
+    def close(self, t, content):
+        self.calls.append(("close", self.names.pop(), t.name))
+
+
+def walk_events(xml: bytes, expect_violations: int = 0) -> list[tuple]:
+    violations, sink = [], Recorder()
+    check_instances(parse_xml(xml, "d"), read_schema(WALK_SCHEMA, "t"), violations, sink)
+    assert len(violations) == expect_violations
+    return sink.calls
 
 
 def test_walk_pairs_enter_and_leave_for_complex_types_only():
-    events = walk_events(b'<r><a k="1"><b>x</b></a><c>5</c><e/><a><b>y</b></a></r>')
+    events = walk_events(b'<r><a k="1"><b>x</b></a><c>5</c><e/><a><b> y </b></a></r>')
     assert events == [
-        (ENTER, "r"),
-        (ENTER, "a"), (ENTER, "b"), (LEAVE, "a"),
-        (ENTER, "c"),
-        (ENTER, "e"), (LEAVE, "e"),
-        (ENTER, "a"), (ENTER, "b"), (LEAVE, "a"),
-        (LEAVE, "r"),
+        ("open", "r", 1, []),
+        ("open", "a", 1, [("k", "1")]), ("value", "b", "x"), ("close", "a", None),
+        ("value", "c", "5"),
+        ("open", "e", 1, []), ("close", "e", None),
+        ("open", "a", 2, []), ("value", "b", "y"), ("close", "a", None),
+        ("close", "r", None),
     ]
-    assert walk_events(b"<s>text</s>") == [(ENTER, "s")]  # a simple-typed root
+    assert walk_events(b"<s>text</s>") == []  # a simple-typed root is checked only
+
+
+def test_sink_hears_nothing_after_the_first_violation():
+    events = walk_events(b'<r><a><b>x</b></a><c>z</c><e/><a k="2"><b>y</b></a><q/></r>', 2)
+    assert events == [
+        ("open", "r", 1, []),
+        ("open", "a", 1, []), ("value", "b", "x"), ("close", "a", None),
+    ]
