@@ -311,9 +311,7 @@ def _lexical_type(t: SimpleType | BuiltinRef) -> str:
 def _value_check(t):
     """The lexical check of a resolved type's values; None when the type
     is complex or its values go unchecked."""
-    if t is None or type(t) is ComplexType:  # None: a dangling reference
-        return None
-    return lexical_check(_lexical_type(t))
+    return None if type(t) is ComplexType else lexical_check(_lexical_type(t))
 
 
 class ResolvedSchema:
@@ -960,7 +958,9 @@ class _InstanceCheck:
         text leaf, with no attribute, namespace declaration or child, costs
         one strip and the check."""
         text = el.text
-        if el.attrib or len(el):
+        # `keys()`, not `attrib`: reading `attrib` would give each bare leaf
+        # a dict of its own for the rest of the document's life
+        if el.keys() or len(el):
             if type(t) is not BuiltinRef or t.name != "anyType":  # anyType admits both
                 for attr, _ in attributes(el):
                     self.complain(

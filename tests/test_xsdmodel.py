@@ -441,3 +441,22 @@ def test_sink_hears_nothing_after_the_first_violation():
         ("open", "r", 1, []),
         ("open", "a", 1, []), ("value", "b", "x"), ("close", "a", None),
     ]
+
+
+def test_validate_leaves_the_tree_as_it_found_it():
+    # Reading a C Element's `attrib` gives it a dict of its own for the rest
+    # of its life; the pass must not do that to every bare leaf
+    import tracemalloc
+
+    data = ("<recs>" + "".join(f'<rec id="r{i}"><name>n{i}</name><val>{i}</val></rec>'
+                               for i in range(2000)) + "</recs>").encode()
+    schema = infer_schema([parse_xml(data, "t")])
+    assert validate(parse_xml(data, "t"), schema).ok  # builds the resolved view
+    doc = parse_xml(data, "t")
+    tracemalloc.start()
+    try:
+        assert validate(doc, schema).ok
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 4000 * 8, kept  # under 8 bytes per leaf
