@@ -72,7 +72,7 @@ class _Populator:
         # per open element: instance, IRI fragment, its step in the path name,
         # slot in `out`, object and data assertions, its group holders by
         # GroupUse path, and its attributes
-        self.open_: list[tuple[Element, str, str, int, list, list, dict, list]] = []
+        self.frames: list[tuple[Element, str, str, int, list, list, dict, list]] = []
 
     def claim(self, instance: Element, fragment: str) -> str:
         if fragment not in self.taken:
@@ -105,26 +105,26 @@ class _Populator:
         parent's and open it. Its path name joins the open elements' steps
         and its own; it is built only when used, so a deep document named
         by ids costs no path strings."""
-        open_ = self.open_
+        frames = self.frames
         if member is not None:  # not the root
             use = member[1]
-            links = open_[-1][4] if use is None else self.holder(open_[-1], use)[0]
+            links = frames[-1][4] if use is None else self.holder(frames[-1], use)[0]
         step = f"{instance.tag.local}_{ordinal}"
         for name, value in attrs:
             if name == "id":
                 fragment = sanitize_fragment(value)
                 break
         else:
-            fragment = ".".join([frame[2] for frame in open_] + [step])
+            fragment = ".".join([frame[2] for frame in frames] + [step])
         iri = self.claim(instance, fragment)
         if member is not None:
             links.append((self.resolution[member[4]], iri))
-        open_.append((instance, iri, step, len(self.out), [], [], {}, attrs))
+        frames.append((instance, iri, step, len(self.out), [], [], {}, attrs))
         self.out.append(None)  # this instance's individual, set on close
 
     def value(self, member, text: str):
         """Record a simple-typed child's value on the open individual."""
-        frame = self.open_[-1]
+        frame = self.frames[-1]
         prop, datatype = self.literal[member[4]]
         use = member[1]
         data = frame[5] if use is None else self.holder(frame, use)[1]
@@ -133,7 +133,7 @@ class _Populator:
     def close(self, ct: ComplexType, content: TypeContent):
         """Close the open individual: its attributes, its mixed text, then
         its group holders after its descendants' individuals."""
-        frame = self.open_.pop()
+        frame = self.frames.pop()
         instance, iri, _, slot, object_assertions, data_assertions, holders, attrs = frame
         literal, table = self.literal, content.attributes
         for name, value in attrs:

@@ -96,14 +96,6 @@ def attributes(el: Element) -> list[tuple[str, str]]:
     return items
 
 
-def attribute(el: Element, local: str) -> str | None:
-    """Value of the first attribute with this local name, if any."""
-    for name, value in attributes(el):
-        if name == local:
-            return value
-    return None
-
-
 def _split_name(raw: str, line: int, column: int) -> XmlName:
     if ":" not in raw:
         return XmlName(None, raw)

@@ -174,6 +174,9 @@ CASES = {
       <rec id="-x"><name>y</name></rec>
       <rec id="r·s"><name>z</name></rec>
     </recs>"""),
+    "first-of-two-ids": (IDS, """<recs xmlns:p="urn:p">
+      <rec p:id="first" id="second"><name>x</name></rec>
+    </recs>"""),
     "paths-without-ids": (GROUPS, """<book>
       <record><title>T</title><first>A</first></record>
       <record><title>U</title><first>B</first></record>

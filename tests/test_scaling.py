@@ -215,7 +215,7 @@ def test_deep_schema_graph(tmp_path, source):
 
 
 # Nor may the depth of an instance document: validation and population
-# share one explicit-stack walk (`xsdmodel.walk_instances`).
+# share one explicit-stack pass (`xsdmodel.check_instances`).
 
 
 @pytest.mark.parametrize("document", [
