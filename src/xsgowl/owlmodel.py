@@ -6,12 +6,18 @@ once and joined to a fragment only where text is written. An assertion
 is then a tuple of strings, which the collector does not track.
 
 Models are validated on construction (dangling references, duplicate
-fragments, or one fragment declared as both an object and a datatype
-property raise ValueError), so the writers never have to defend
-themselves. Both writers emit the same triples in the same entity order:
-ontology header, classes, object properties (with any cardinality
-restriction axioms), datatype properties, individuals — each category
-sorted alphabetically by IRI fragment, so equal models serialize to
+fragments, literals outside their datatype's lexical space, or one fragment
+declared as both an object and a datatype property raise ValueError), so
+the writers never have to defend themselves. The individuals are checked
+as a whole: their classes, properties and assertion targets by set
+inclusion, and each XSD literal datatype's values by one
+`datatypes.all_lexically_valid`. Only a model that fails that is walked
+individual by individual, to report its first fault.
+
+Both writers emit the same triples in the same entity order: ontology
+header, classes, object properties (with any cardinality restriction
+axioms), datatype properties, individuals — each category sorted
+alphabetically by IRI fragment, so equal models serialize to
 byte-identical output.
 
 The writers render once per model what depends only on an IRI, a property
@@ -23,9 +29,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from itertools import chain, compress, repeat
+from operator import attrgetter, eq, itemgetter
 
-from .datatypes import NAME_CHARS, is_ncname, lexical_check
+from .datatypes import NAME_CHARS, all_lexically_valid, is_ncname, lexical_check
 
 OWL_NS = "http://www.w3.org/2002/07/owl#"
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -83,6 +90,13 @@ class Individual:
     data_assertions: tuple[tuple[str, str, str], ...] = ()  # (prop, value, dt iri or "")
 
 
+_BY_FRAGMENT = attrgetter("iri")  # the writers' sort key, too
+_class_iri = attrgetter("class_iri")
+_object_assertions = attrgetter("object_assertions")
+_data_assertions = attrgetter("data_assertions")
+_first, _second, _third = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
 @dataclass(frozen=True)
 class OntologyModel:
     ontology_iri: str  # base IRI, no fragment
@@ -99,11 +113,12 @@ class OntologyModel:
             ("datatype property", self.datatype_properties),
             ("individual", self.individuals),
         ):
-            seen = set()
-            for e in entities:
-                if e.iri in seen:
-                    raise ValueError(f"duplicate {name} fragment {e.iri!r}")
-                seen.add(e.iri)
+            if len(set(map(_BY_FRAGMENT, entities))) < len(entities):
+                seen = set()
+                for e in entities:
+                    if e.iri in seen:
+                        raise ValueError(f"duplicate {name} fragment {e.iri!r}")
+                    seen.add(e.iri)
         class_iris = {c.iri for c in self.classes}
         for c in self.classes:
             if c.subclass_of is not None and c.subclass_of not in class_iris:
@@ -127,7 +142,28 @@ class OntologyModel:
             raise ValueError(
                 f"fragment {min(both)!r} is both an object and a datatype property"
             )
-        individual_iris = {i.iri for i in self.individuals}
+        individuals = self.individuals
+        individual_iris = set(map(_BY_FRAGMENT, individuals))
+        object_assertions = list(chain.from_iterable(map(_object_assertions, individuals)))
+        data_assertions = list(chain.from_iterable(map(_data_assertions, individuals)))
+        values = list(map(_second, data_assertions))
+        literal_types = list(map(_third, data_assertions))
+        if not (
+            class_iris.issuperset(map(_class_iri, individuals))
+            and obj_props.issuperset(map(_first, object_assertions))
+            and individual_iris.issuperset(map(_second, object_assertions))
+            and dt_props.issuperset(map(_first, data_assertions))
+            and all(  # each XSD datatype's values, in one check
+                all_lexically_valid(dt[len(XSD_NS):], list(
+                    compress(values, map(eq, literal_types, repeat(dt)))))
+                for dt in set(literal_types) if dt.startswith(XSD_NS)
+            )
+        ):
+            self._raise_first_fault(class_iris, obj_props, dt_props, individual_iris)
+
+    def _raise_first_fault(self, class_iris, obj_props, dt_props, individual_iris):
+        """Raise for the first faulty individual, in model order: its class,
+        then each object assertion, then each data assertion."""
         # each literal datatype's lexical check, looked up once per model
         checks = _Memo(lambda dt: lexical_check(dt[len(XSD_NS):])
                        if dt.startswith(XSD_NS) else None)
@@ -147,6 +183,7 @@ class OntologyModel:
                     raise ValueError(
                         f"value {value!r} is not lexically valid for {dt}"
                     )
+        raise AssertionError("the model check found a fault it cannot place")
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +245,6 @@ class FragmentAllocator:
 # Turtle
 
 
-_BY_FRAGMENT = attrgetter("iri")  # the sort keys, for both writers
 _DATA_KEY = itemgetter(0, 1)  # property, then value; object assertions sort as they are
 
 

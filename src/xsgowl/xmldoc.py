@@ -85,14 +85,22 @@ def text_content(el: Element) -> str:
     return "".join(runs).strip()
 
 
+def attribute_name(raw: str) -> str | None:
+    """The local name of an attribute by its raw name; None for a namespace
+    declaration (xmlns, xmlns:*), which is not an attribute."""
+    if ":" not in raw:
+        return None if raw == "xmlns" else raw
+    return None if raw.startswith("xmlns:") else raw[raw.find(":") + 1:]
+
+
 def attributes(el: Element) -> list[tuple[str, str]]:
-    """(local name, value) of each attribute in document order; namespace
-    declarations (xmlns, xmlns:*) are not attributes."""
+    """(local name, value) of each attribute in document order, without
+    namespace declarations."""
     items = el.items()
     for raw, _ in items:
         if ":" in raw or raw == "xmlns":  # not every raw name is a local name
-            return [(raw[raw.find(":") + 1:], value) for raw, value in items
-                    if raw != "xmlns" and not raw.startswith("xmlns:")]
+            return [(local, value) for raw, value in items
+                    if (local := attribute_name(raw)) is not None]
     return items
 
 

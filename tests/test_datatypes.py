@@ -13,10 +13,13 @@ from xsgowl.datatypes import (
     STRING,
     infer_datatype,
     is_ncname,
+    all_lexically_valid,
     join_datatype,
-    lexically_valid,
+    join_inferred,
+    lexical_check,
 )
 from xsgowl.owlmodel import sanitize_fragment
+from randgen import VALUES
 
 
 @pytest.mark.parametrize("value,expected", [
@@ -76,22 +79,27 @@ def test_join_commutative_associative():
             join_datatype(a, join_datatype(b, c))
 
 
+def valid(value: str, datatype: str) -> bool:
+    check = lexical_check(datatype)
+    return True if check is None else bool(check(value))
+
+
 def test_classification_is_lexically_sound():
     # whatever a value classifies as, it must be valid for that type
     for value in ["1977", "true", "0", "3.", ".5", "Foo", "a b", "x-1", ""]:
-        assert lexically_valid(value, infer_datatype(value))
+        assert valid(value, infer_datatype(value))
 
 
 def test_boolean_lexical_space_wider_than_classification():
-    assert lexically_valid("0", BOOLEAN)
-    assert lexically_valid("1", BOOLEAN)
-    assert not lexically_valid("yes", BOOLEAN)
+    assert valid("0", BOOLEAN)
+    assert valid("1", BOOLEAN)
+    assert not valid("yes", BOOLEAN)
 
 
 def test_integer_family_aliases():
-    assert lexically_valid("42", "long")
-    assert not lexically_valid("4.2", "long")
-    assert lexically_valid("anything at all", "dateTime")  # unchecked type
+    assert valid("42", "long")
+    assert not valid("4.2", "long")
+    assert lexical_check("dateTime") is None  # unchecked type
 
 
 def test_is_ncname():
@@ -218,6 +226,82 @@ def test_classification_matches_three_regex_reference():
     mismatched = [v for v in cases if infer_datatype(v) != reference_infer_datatype(v)]
     assert mismatched == []
     for datatype in (*LATTICE_TYPES, *INTEGER_ALIASES, "dateTime"):
-        mismatched = [v for v in cases if lexically_valid(v, datatype)
+        mismatched = [v for v in cases if valid(v, datatype)
                       is not reference_lexically_valid(v, datatype)]
         assert mismatched == [], datatype
+
+
+# --- the whole-list helpers against the per-value fold and check ---------------
+
+EDGE_VALUES = [
+    "", "\n", "a\nb", "1\n", "\n1", "12\n34", "5\r", "a\rb", "\r",
+    "é", "名前", "naïve", "x²", "é:b", "名 前",
+    "true", "false", "0", "1", "+5", "-.5", "5.", "1e3", ".", "+", "-", "+-1",
+    "Foo", "_x", "a.b-c", "9lives",
+]
+POOLS = {
+    "all": VALUES + EDGE_VALUES,
+    "numbers": ["0", "1", "42", "-7", "+5", "3.14", "-.5", "5.", ".5", "1e3", "", "1\n"],
+    "names": ["Foo", "bar_1", "x-y.z", "é", "名前", "true", "false", "a:b", "", "a\rb"],
+    "booleans": ["true", "false", "0", "1", "Foo", "é", ""],
+}
+CHECKED_TYPES = (*LATTICE_TYPES, *INTEGER_ALIASES, "dateTime")
+
+
+def per_value_join(values: list[str]) -> str | None:
+    joined = None
+    for value in values:
+        t = infer_datatype(value)
+        joined = t if joined is None else join_datatype(joined, t)
+    return joined
+
+
+def random_lists(seed: int):
+    rng = random.Random(seed)
+    for name, pool in POOLS.items():
+        for _ in range(600):
+            yield name, [rng.choice(pool) for _ in range(rng.randint(0, 7))]
+    # long lists, so more than one match runs; the odd value comes last
+    for odd in ["3.5", "é", "名前", "true", "", "1\n2", "x", "1e3"]:
+        yield "long", [str(k) for k in range(3000)] + [odd]
+        yield "long", [f"n{k}" for k in range(3000)] + [odd]
+
+
+def test_join_inferred_matches_the_per_value_fold():
+    mismatched = [(name, values) for name, values in random_lists(27)
+                  if join_inferred(values) != per_value_join(values)]
+    assert mismatched == []
+
+
+def test_join_inferred_edge_cases():
+    assert join_inferred([]) is None
+    assert join_inferred([""]) == STRING
+    assert join_inferred(["true", "false", "true"]) == BOOLEAN
+    assert join_inferred(["true", "Foo"]) == STRING  # boolean beside a name
+    assert join_inferred(["0", "1"]) == INTEGER
+    assert join_inferred(["1", "2\n3"]) == STRING
+    assert join_inferred(["é", "名前", "Foo"]) == NCNAME
+    assert join_inferred(["-.5", "+5", "5."]) == DECIMAL
+
+
+def test_all_lexically_valid_matches_the_per_value_check():
+    for datatype in CHECKED_TYPES:
+        mismatched = [
+            (name, values) for name, values in random_lists(28)
+            if all_lexically_valid(datatype, values)
+            is not all(valid(v, datatype) for v in values)
+        ]
+        assert mismatched == [], datatype
+
+
+def test_all_lexically_valid_edge_cases():
+    assert all_lexically_valid(INTEGER, [])
+    assert not all_lexically_valid(INTEGER, ["1", "2\n3"])
+    assert not all_lexically_valid(INTEGER, ["1", "\n"])
+    assert not all_lexically_valid("long", ["1", "4.2"])
+    assert all_lexically_valid("unsignedByte", ["+5", "-7"])  # sign + digits
+    assert all_lexically_valid(NCNAME, ["é", "名前", "Foo"])
+    assert not all_lexically_valid(NCNAME, ["é", "名 前"])
+    assert all_lexically_valid(BOOLEAN, ["0", "1", "true"])
+    assert not all_lexically_valid(BOOLEAN, ["0", ""])
+    assert all_lexically_valid("dateTime", ["anything", "\n"])  # unchecked

@@ -230,6 +230,75 @@ def test_invalid_literal_rejected():
         ))
 
 
+def literal_model(datatype: str, *values: str) -> OntologyModel:
+    """`small_model` with a `d` property of range xsd:datatype, and one
+    individual per value that asserts it."""
+    return small_model(
+        datatype_properties=(DatatypeProperty("d", ("author",), xsd_iri(datatype)),),
+        individuals=tuple(
+            Individual(f"x{k}", "author",
+                       data_assertions=(("d", value, xsd_iri(datatype)),))
+            for k, value in enumerate(values)
+        ),
+    )
+
+
+def test_first_faulty_individual_is_reported():
+    # the check runs over the whole model at once, but the error still
+    # names the first individual, in model order, that has a fault
+    bad_literal = Individual("x", "author", data_assertions=(
+        ("id", "not an ncname!", xsd_iri("NCName")),))
+    bad_class = Individual("y", "ghost")
+    with pytest.raises(ValueError) as caught:
+        small_model(individuals=(bad_literal, bad_class))
+    assert str(caught.value) == (
+        "value 'not an ncname!' is not lexically valid for " + xsd_iri("NCName"))
+    with pytest.raises(ValueError) as caught:
+        small_model(individuals=(bad_class, bad_literal))
+    assert str(caught.value) == "individual y has undeclared class"
+
+
+def test_integer_literal_with_a_line_feed_rejected():
+    with pytest.raises(ValueError) as caught:
+        literal_model("integer", "1", "2\n3", "4")
+    assert str(caught.value) == (
+        "value '2\\n3' is not lexically valid for " + xsd_iri("integer"))
+
+
+def test_non_ascii_ncname_literals_accepted():
+    model = literal_model("NCName", "é", "名前", "naïve-name")
+    assert len(model.individuals) == 3
+
+
+def test_invalid_long_literal_rejected():
+    with pytest.raises(ValueError) as caught:
+        literal_model("long", "42", "-7", "4.2")
+    assert str(caught.value) == (
+        "value '4.2' is not lexically valid for " + xsd_iri("long"))
+
+
+@pytest.mark.parametrize("bad", ["NCName", "integer", "decimal", "boolean", "long"])
+def test_each_literal_datatype_is_checked(bad):
+    # valid literals of four datatypes beside one invalid of a fifth
+    valid = {"NCName": "x1", "integer": "-7", "decimal": "2.5", "boolean": "0",
+             "long": "42"}
+    types = list(valid)
+    individuals = tuple(
+        Individual(f"x{k}", "author", data_assertions=(
+            (f"d{k}", "not valid!" if t == bad else valid[t], xsd_iri(t)),))
+        for k, t in enumerate(types)
+    )
+    with pytest.raises(ValueError) as caught:
+        small_model(
+            datatype_properties=tuple(
+                DatatypeProperty(f"d{k}", ("author",), xsd_iri(t))
+                for k, t in enumerate(types)),
+            individuals=individuals,
+        )
+    assert str(caught.value) == (
+        "value 'not valid!' is not lexically valid for " + xsd_iri(bad))
+
+
 def test_subclass_axiom_serialized():
     model = small_model(classes=(
         OwlClass("author", "author", subclass_of="bibliography"),
